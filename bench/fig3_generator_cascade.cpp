@@ -62,7 +62,8 @@ int main(int argc, char **argv) {
                 T.str().c_str());
   }
 
-  // Size sweep: non-linear but non-exponential growth.
+  // Size sweep: the growth curve the paper calls non-linear but
+  // non-exponential.
   {
     TablePrinter T({"phyla", "occ. attr.", "generator (ms)",
                     "ms per occ. attr."});
@@ -86,7 +87,8 @@ int main(int argc, char **argv) {
       T.addRow({std::to_string(Phyla), std::to_string(Occ),
                 TablePrinter::num(Ms, 2), TablePrinter::num(Ms / Occ, 4)});
     }
-    std::printf("== generator scaling (non-linear, non-exponential) ==\n%s\n",
+    std::printf("== generator scaling (paper: non-linear, non-exponential) "
+                "==\n%s\n",
                 T.str().c_str());
   }
 

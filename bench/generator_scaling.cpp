@@ -18,11 +18,17 @@
 // compile or the two engines disagree on the class — the bench doubles as
 // a coarse differential check.
 //
+// Each point also times the two phases after the cascade, visit-sequence
+// generation and the space optimization (analyzeStorage). They go to a
+// separate "phases" table and JSON section, report-only: their keys are
+// not bench_check metrics.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include "ordered/Transform.h"
+#include "storage/Lifetime.h"
 
 #include <cstdio>
 #include <vector>
@@ -80,7 +86,45 @@ Entry measure(const std::string &Spec, const std::string &Engine,
   return E;
 }
 
-void emitJson(const std::vector<Entry> &Es) {
+/// Report-only milliseconds of the phases after the cascade.
+struct PhaseEntry {
+  std::string Spec;
+  double VisitSeqMs = 0;
+  double StorageMs = 0;
+};
+
+/// Times buildVisitSequences and analyzeStorage on the worklist cascade's
+/// transformation, one warm-up round then the mean of Rounds. Returns false
+/// if the transformation or visit-sequence generation fails.
+bool measurePhases(const std::string &Spec, const AttributeGrammar &AG,
+                   PhaseEntry &E) {
+  ClassifyResult R = classifyGrammar(AG, /*OagK=*/1, GfaOptions());
+  TransformResult TR = R.Class == AgClass::OAG
+                           ? uniformInstances(AG, R.Oag.Partitions)
+                           : sncToLOrdered(AG, R.Snc, ReuseMode::LongInclusion);
+  if (!TR.Success)
+    return false;
+  E.Spec = Spec;
+  for (unsigned Round = 0; Round <= Rounds; ++Round) {
+    EvaluationPlan Plan;
+    DiagnosticEngine D;
+    Timer VisitSeq;
+    if (!buildVisitSequences(AG, TR, Plan, D))
+      return false;
+    double VisitSeqMs = VisitSeq.milliseconds();
+    Timer Storage;
+    (void)analyzeStorage(AG, Plan);
+    double StorageMs = Storage.milliseconds();
+    if (Round != 0) {
+      E.VisitSeqMs += VisitSeqMs / Rounds;
+      E.StorageMs += StorageMs / Rounds;
+    }
+  }
+  return true;
+}
+
+void emitJson(const std::vector<Entry> &Es,
+              const std::vector<PhaseEntry> &Phases) {
   std::ofstream Out("generator_scaling.json");
   Out << "{\n  \"rounds\": " << Rounds << ",\n  \"entries\": [\n";
   for (size_t I = 0; I != Es.size(); ++I) {
@@ -89,6 +133,14 @@ void emitJson(const std::vector<Entry> &Es) {
         << "\", \"class\": \"" << E.Class
         << "\", \"ms_per_round\": " << E.MsPerRound << "}"
         << (I + 1 == Es.size() ? "\n" : ",\n");
+  }
+  Out << "  ],\n  \"phases\": [\n";
+  for (size_t I = 0; I != Phases.size(); ++I) {
+    const PhaseEntry &P = Phases[I];
+    Out << "    {\"spec\": \"" << P.Spec
+        << "\", \"visitseq_ms\": " << P.VisitSeqMs
+        << ", \"storage_ms\": " << P.StorageMs << "}"
+        << (I + 1 == Phases.size() ? "\n" : ",\n");
   }
   Out << "  ]\n}\n";
 }
@@ -101,8 +153,10 @@ int main() {
   GfaOptions Worklist; // defaults: worklist engine, gated parallel rounds
 
   std::vector<Entry> Entries;
+  std::vector<PhaseEntry> Phases;
   TablePrinter T({"spec", "phyla", "prods", "class", "naive ms",
                   "worklist ms", "speedup"});
+  TablePrinter PT({"spec", "visitseq ms", "storage ms"});
   bool Ok = true;
   for (const SweepPoint &P : Sweep) {
     workloads::SpecGenOptions Opts;
@@ -136,12 +190,26 @@ int main() {
               TablePrinter::num(Speedup, 2) + "x"});
     Entries.push_back(N);
     Entries.push_back(W);
+
+    PhaseEntry Ph;
+    if (!measurePhases(P.Name, AG, Ph)) {
+      std::fprintf(stderr, "%s: transform or visit sequences failed\n",
+                   P.Name);
+      Ok = false;
+      continue;
+    }
+    PT.addRow({P.Name, TablePrinter::num(Ph.VisitSeqMs, 3),
+               TablePrinter::num(Ph.StorageMs, 3)});
+    Phases.push_back(Ph);
   }
 
   std::printf("== generator cascade scaling (SNC+DNC+OAG+transform, "
               "%u rounds per point) ==\n%s\n",
               Rounds, T.str().c_str());
-  emitJson(Entries);
+  std::printf("== phases after the cascade (report-only, %u rounds per "
+              "point) ==\n%s\n",
+              Rounds, PT.str().c_str());
+  emitJson(Entries, Phases);
   std::printf("wrote generator_scaling.json\n");
   return Ok ? 0 : 1;
 }

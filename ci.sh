@@ -48,7 +48,10 @@
 #      suite runs its dlopen lifecycle (load, evaluate, unload, reload from
 #      cache, tampered-artifact repair) with the emitted objects themselves
 #      compiled under the same sanitizers; the service suite runs its wire
-#      protocol byte-flip/truncation fuzz and the concurrent soak here too.
+#      protocol byte-flip/truncation fuzz and the concurrent soak here too;
+#      the storage suite (lifetime analysis, grouping, storage evaluator and
+#      the storage-assignment golden) runs here so the space optimizer's
+#      word-indexed bit rows are checked for out-of-range access.
 #   5. ThreadSanitizer build (-DFNC2_SANITIZE=thread) + the concurrency,
 #      differential, interning, trace, oracle, parallel-cascade,
 #      artifact-cache, multi-session and native-backend race tests, which
@@ -152,9 +155,9 @@ cmake -B "$SRC/build-asan" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$SRC/build-asan" -j "$JOBS" \
       --target serialize_test artifact_cache_test edit_log_test \
                merged_batch_test native_backend_test native_merged_test \
-               service_test service_soak_test
+               service_test service_soak_test storage_test
 ctest --test-dir "$SRC/build-asan" --output-on-failure -j "$JOBS" \
-      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service'
+      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping'
 
 echo "== [5/5] ThreadSanitizer build + race gate =="
 cmake -B "$SRC/build-tsan" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

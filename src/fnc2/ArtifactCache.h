@@ -119,6 +119,17 @@ public:
   const ArtifactCacheStats &stats() const { return Stats; }
 
 private:
+  /// encode()/decode() against a precomputed artifactKey(AG, Opts), so a
+  /// load or store hashes the grammar's canonical encoding only once.
+  static std::vector<uint8_t> encode(const AttributeGrammar &AG,
+                                     const GeneratorOptions &Opts,
+                                     const GeneratedEvaluator &G,
+                                     uint64_t Key);
+  static bool decode(std::span<const uint8_t> Bytes,
+                     const AttributeGrammar &AG, const GeneratorOptions &Opts,
+                     GeneratedEvaluator &G, std::string &Reason,
+                     uint64_t Key);
+
   std::string Dir;
   ArtifactCacheStats Stats;
 };

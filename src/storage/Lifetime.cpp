@@ -2,9 +2,10 @@
 
 #include "storage/Lifetime.h"
 
+#include "support/BitMatrix.h"
+
 #include <algorithm>
 #include <map>
-#include <set>
 
 using namespace fnc2;
 
@@ -52,20 +53,22 @@ std::string StorageIdMap::name(const AttributeGrammar &AG, unsigned Id) const {
 namespace {
 
 /// Flattens (phylum, partition index) pairs to dense protocol ids and holds
-/// the per-protocol, per-visit summaries of the grammar of visits.
+/// the per-protocol, per-visit summaries of the grammar of visits as bit
+/// rows, one row per (protocol, visit number).
 class VisitGrammar {
 public:
   VisitGrammar(const AttributeGrammar &AG, const EvaluationPlan &Plan,
-               const StorageIdMap &Ids)
-      : AG(AG), Plan(Plan), Ids(Ids) {
+               const StorageIdMap &Ids) {
     Base.resize(AG.numPhyla());
-    unsigned Next = 0;
+    RowBase.push_back(0);
     for (PhylumId X = 0; X != AG.numPhyla(); ++X) {
-      Base[X] = Next;
-      Next += std::max<size_t>(1, Plan.Partitions[X].size());
+      Base[X] = static_cast<unsigned>(RowBase.size() - 1);
+      for (const TotallyOrderedPartition &Part : Plan.Partitions[X])
+        RowBase.push_back(RowBase.back() + Part.numVisits() + 1);
+      if (Plan.Partitions[X].empty())
+        RowBase.push_back(RowBase.back() + 1);
     }
-    NumProtocols = Next;
-    computeSummaries();
+    computeSummaries(AG, Plan, Ids);
   }
 
   unsigned protocolOf(PhylumId X, unsigned Part) const {
@@ -75,82 +78,88 @@ public:
   /// True iff flat id \p Id may be (re)defined during visit \p V of the
   /// given protocol, including transitively in the visited subtree.
   bool canDefine(unsigned Proto, unsigned V, unsigned Id) const {
-    return CanDefine[Proto].count(std::make_pair(V, Id)) != 0;
+    return CanDefine.test(rowOf(Proto, V), Id);
   }
 
   /// True iff a node evaluating under the protocol reads its own inherited
   /// attribute \p A during visit \p V.
   bool usesOwnInh(unsigned Proto, unsigned V, AttrId A) const {
-    return UsesOwnInh[Proto].count(std::make_pair(V, A)) != 0;
+    return UsesOwnInh.test(rowOf(Proto, V), A);
   }
 
 private:
-  void computeSummaries();
+  void computeSummaries(const AttributeGrammar &AG, const EvaluationPlan &Plan,
+                        const StorageIdMap &Ids);
 
-  const AttributeGrammar &AG;
-  const EvaluationPlan &Plan;
-  const StorageIdMap &Ids;
+  unsigned rowOf(unsigned Proto, unsigned V) const {
+    assert(RowBase[Proto] + V < RowBase[Proto + 1] && "visit out of range");
+    return RowBase[Proto] + V;
+  }
+
   std::vector<unsigned> Base;
-  unsigned NumProtocols = 0;
-  /// (visit, flat id) pairs per protocol; sets are small in practice.
-  std::vector<std::set<std::pair<unsigned, unsigned>>> CanDefine;
-  std::vector<std::set<std::pair<unsigned, AttrId>>> UsesOwnInh;
+  /// Protocol P owns rows [RowBase[P], RowBase[P + 1]), one per visit
+  /// number of its partition, plus row 0 for instructions before BEGIN 1.
+  std::vector<unsigned> RowBase;
+  BitMatrix CanDefine;  ///< Columns: flat storage ids.
+  BitMatrix UsesOwnInh; ///< Columns: AttrIds.
 };
 
 } // namespace
 
-void VisitGrammar::computeSummaries() {
-  CanDefine.assign(NumProtocols, {});
-  UsesOwnInh.assign(NumProtocols, {});
+void VisitGrammar::computeSummaries(const AttributeGrammar &AG,
+                                    const EvaluationPlan &Plan,
+                                    const StorageIdMap &Ids) {
+  const unsigned NumRows = RowBase.back();
+  CanDefine = BitMatrix(NumRows, Ids.numIds());
+  UsesOwnInh = BitMatrix(NumRows, static_cast<unsigned>(AG.Attrs.size()));
 
-  // Direct reads of the LHS's own inherited attributes, per visit chunk.
+  // Seed each row with the EVAL targets and LHS reads of its own visit
+  // chunks, and index, per child row, the parent rows whose VISITs OR it in.
+  std::vector<std::vector<unsigned>> VisitedBy(NumRows);
   for (const VisitSequence &Seq : Plan.Seqs) {
-    unsigned Proto = protocolOf(AG.prod(Seq.Prod).Lhs, Seq.LhsPartition);
-    unsigned V = 0;
+    const Production &Pr = AG.prod(Seq.Prod);
+    unsigned Proto = protocolOf(Pr.Lhs, Seq.LhsPartition);
+    unsigned Row = rowOf(Proto, 0);
     for (const VisitInstr &I : Seq.Instrs) {
-      if (I.Kind == VisitInstr::Op::Begin)
-        V = I.VisitNo;
-      if (I.Kind != VisitInstr::Op::Eval)
-        continue;
-      for (RuleId R : I.Rules)
-        for (const AttrOcc &Arg : AG.rule(R).Args)
-          if (Arg.isOnSymbol() && Arg.Pos == 0)
-            UsesOwnInh[Proto].insert({V, Arg.Attr});
+      switch (I.Kind) {
+      case VisitInstr::Op::Begin:
+        Row = rowOf(Proto, I.VisitNo);
+        break;
+      case VisitInstr::Op::Eval:
+        for (RuleId R : I.Rules) {
+          const SemanticRule &Rule = AG.rule(R);
+          CanDefine.set(Row, Ids.idOfOcc(AG, Seq.Prod, Rule.Target));
+          for (const AttrOcc &Arg : Rule.Args)
+            if (Arg.isOnSymbol() && Arg.Pos == 0)
+              UsesOwnInh.set(Row, Arg.Attr);
+        }
+        break;
+      case VisitInstr::Op::Visit:
+        VisitedBy[rowOf(protocolOf(Pr.Rhs[I.Child], I.ChildPartition),
+                        I.VisitNo)]
+            .push_back(Row);
+        break;
+      case VisitInstr::Op::Leave:
+        break;
+      }
     }
   }
 
-  // Transitive definition summaries: fixpoint over all sequences.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const VisitSequence &Seq : Plan.Seqs) {
-      const Production &Pr = AG.prod(Seq.Prod);
-      unsigned Proto = protocolOf(Pr.Lhs, Seq.LhsPartition);
-      unsigned V = 0;
-      for (const VisitInstr &I : Seq.Instrs) {
-        switch (I.Kind) {
-        case VisitInstr::Op::Begin:
-          V = I.VisitNo;
-          break;
-        case VisitInstr::Op::Eval:
-          for (RuleId R : I.Rules)
-            Changed |=
-                CanDefine[Proto]
-                    .insert({V, Ids.idOfOcc(AG, Seq.Prod, AG.rule(R).Target)})
-                    .second;
-          break;
-        case VisitInstr::Op::Visit: {
-          unsigned ChildProto = protocolOf(Pr.Rhs[I.Child], I.ChildPartition);
-          for (const auto &[W, Id] : CanDefine[ChildProto])
-            if (W == I.VisitNo)
-              Changed |= CanDefine[Proto].insert({V, Id}).second;
-          break;
-        }
-        case VisitInstr::Op::Leave:
-          break;
-        }
+  // Transitive definition summaries: least fixpoint by worklist. A row is
+  // pushed to its visitors again only when one of its bits changed.
+  std::vector<unsigned> Work(NumRows);
+  std::vector<bool> Queued(NumRows, true);
+  for (unsigned Row = 0; Row != NumRows; ++Row)
+    Work[Row] = Row;
+  while (!Work.empty()) {
+    unsigned Child = Work.back();
+    Work.pop_back();
+    Queued[Child] = false;
+    for (unsigned Parent : VisitedBy[Child])
+      if (CanDefine.orRow(Parent, CanDefine, Child) && !Queued[Parent]) {
+        Queued[Parent] = true;
+        Work.push_back(Parent);
       }
-    }
   }
 }
 
