@@ -34,6 +34,10 @@ struct ClassicCase {
   unsigned TreeSize;
 };
 
+// Names the case in test listings; the default byte dump would embed the
+// load address of Name and Make, so the listed name would change per build.
+void PrintTo(const ClassicCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class ClassicDifferentialTest : public ::testing::TestWithParam<ClassicCase> {
 };
 

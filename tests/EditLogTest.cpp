@@ -662,6 +662,10 @@ struct CorpusEntry {
   unsigned Edits;
 };
 
+// Names the entry in test listings; the default byte dump would embed the
+// load address of Tag and Make, so the listed name would change per build.
+void PrintTo(const CorpusEntry &E, std::ostream *OS) { *OS << E.Tag; }
+
 class EditLogGoldenTest : public ::testing::TestWithParam<CorpusEntry> {};
 
 // The replayable regression corpus: a committed edit log must still decode,
