@@ -14,10 +14,8 @@ unsigned AttributeGrammar::numAttrOccurrences() const {
 }
 
 PhylumId AttributeGrammar::findPhylum(const std::string &PName) const {
-  for (PhylumId I = 0, E = numPhyla(); I != E; ++I)
-    if (Phyla[I].Name == PName)
-      return I;
-  return InvalidId;
+  auto It = PhylumIndex.find(PName);
+  return It == PhylumIndex.end() ? InvalidId : It->second;
 }
 
 AttrId AttributeGrammar::findAttr(PhylumId P, const std::string &AName) const {
@@ -28,10 +26,8 @@ AttrId AttributeGrammar::findAttr(PhylumId P, const std::string &AName) const {
 }
 
 ProdId AttributeGrammar::findProd(const std::string &PName) const {
-  for (ProdId I = 0, E = numProds(); I != E; ++I)
-    if (Prods[I].Name == PName)
-      return I;
-  return InvalidId;
+  auto It = ProdIndex.find(PName);
+  return It == ProdIndex.end() ? InvalidId : It->second;
 }
 
 bool AttributeGrammar::isOutputOcc(ProdId P, const AttrOcc &O) const {
@@ -52,37 +48,33 @@ void AttributeGrammar::buildProductionInfo() {
     const Production &Pr = Prods[P];
     ProductionInfo &PI = ProdInfo[P];
 
-    auto addOcc = [&](const AttrOcc &O) {
-      PI.OccIndex.emplace(O, static_cast<OccId>(PI.Occs.size()));
-      PI.Occs.push_back(O);
-    };
     PI.PosBase.push_back(0);
     for (AttrId A : Phyla[Pr.Lhs].Attrs)
-      addOcc(AttrOcc::onSymbol(0, A));
+      PI.Occs.push_back(AttrOcc::onSymbol(0, A));
     for (unsigned C = 0; C != Pr.arity(); ++C) {
-      PI.PosBase.push_back(static_cast<OccId>(PI.Occs.size()));
+      PI.PosBase.push_back(PI.numOccs());
       for (AttrId A : Phyla[Pr.Rhs[C]].Attrs)
-        addOcc(AttrOcc::onSymbol(C + 1, A));
+        PI.Occs.push_back(AttrOcc::onSymbol(C + 1, A));
     }
+    PI.LocalBase = PI.numOccs();
     for (unsigned L = 0; L != Pr.Locals.size(); ++L)
-      addOcc(AttrOcc::local(L));
+      PI.Occs.push_back(AttrOcc::local(L));
     if (Pr.HasLexeme)
-      addOcc(AttrOcc::lexeme());
+      PI.Occs.push_back(AttrOcc::lexeme());
 
     PI.DepGraph = Digraph(PI.numOccs());
     PI.DefiningRule.assign(PI.numOccs(), InvalidId);
     for (RuleId R : Pr.Rules) {
       const SemanticRule &Rule = Rules[R];
-      auto TargetIt = PI.OccIndex.find(Rule.Target);
-      if (TargetIt == PI.OccIndex.end())
+      OccId Target = PI.findOcc(Rule.Target);
+      if (Target == InvalidId)
         continue; // Reported by checkWellFormed.
-      if (PI.DefiningRule[TargetIt->second] == InvalidId)
-        PI.DefiningRule[TargetIt->second] = R;
+      if (PI.DefiningRule[Target] == InvalidId)
+        PI.DefiningRule[Target] = R;
       for (const AttrOcc &Arg : Rule.Args) {
-        auto ArgIt = PI.OccIndex.find(Arg);
-        if (ArgIt == PI.OccIndex.end())
-          continue;
-        PI.DepGraph.addEdge(ArgIt->second, TargetIt->second);
+        OccId ArgId = PI.findOcc(Arg);
+        if (ArgId != InvalidId)
+          PI.DepGraph.addEdge(ArgId, Target);
       }
     }
 
@@ -156,8 +148,8 @@ bool AttributeGrammar::checkWellFormed(DiagnosticEngine &Diags) const {
     std::vector<unsigned> DefCount(PI.numOccs(), 0);
     for (RuleId R : Pr.Rules) {
       const SemanticRule &Rule = Rules[R];
-      auto TIt = PI.OccIndex.find(Rule.Target);
-      if (TIt == PI.OccIndex.end()) {
+      OccId Target = PI.findOcc(Rule.Target);
+      if (Target == InvalidId) {
         Diags.error("operator '" + Pr.Name +
                     "': rule defines unknown occurrence");
         continue;
@@ -165,9 +157,9 @@ bool AttributeGrammar::checkWellFormed(DiagnosticEngine &Diags) const {
       if (!isOutputOcc(P, Rule.Target))
         Diags.error("operator '" + Pr.Name + "': rule defines input occurrence '" +
                     occName(P, Rule.Target) + "'");
-      ++DefCount[TIt->second];
+      ++DefCount[Target];
       for (const AttrOcc &Arg : Rule.Args)
-        if (PI.OccIndex.find(Arg) == PI.OccIndex.end())
+        if (PI.findOcc(Arg) == InvalidId)
           Diags.error("operator '" + Pr.Name +
                       "': rule argument names unknown occurrence");
     }

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fnc2::olga {
@@ -86,15 +87,18 @@ enum class TokKind : uint8_t {
 
 struct Token {
   TokKind Kind = TokKind::Eof;
-  std::string Text;   ///< Identifier or string contents.
+  /// Identifier or keyword spelling, or string-literal contents with
+  /// escapes resolved. A slice of the source, except for a literal with
+  /// escapes, whose text is interned (see internString).
+  std::string_view Text;
   int64_t IntValue = 0;
   SourceLoc Loc;
 };
 
 /// Tokenizes \p Source; lexical errors are reported through \p Diags and
-/// yield an Eof-terminated partial stream.
-std::vector<Token> tokenize(const std::string &Source,
-                            DiagnosticEngine &Diags);
+/// yield an Eof-terminated partial stream. The tokens view \p Source,
+/// which must outlive them.
+std::vector<Token> tokenize(std::string_view Source, DiagnosticEngine &Diags);
 
 /// Token spelling for diagnostics.
 std::string tokKindName(TokKind Kind);

@@ -6,7 +6,6 @@
 #include "olga/ExprEval.h"
 
 #include <map>
-#include <set>
 
 using namespace fnc2;
 using namespace fnc2::olga;
@@ -56,19 +55,19 @@ bool GrammarLowerer::resolveOcc(const OperatorDecl &Op, ProdId P, Expr &E,
   }
   if (E.Kind == ExprKind::AttrRef) {
     unsigned Pos = ~0u;
-    std::string Phylum;
+    const std::string *Phylum = nullptr;
     for (unsigned C = 0; C != Op.Children.size(); ++C)
       if (Op.Children[C].first == E.Name) {
         Pos = C + 1;
-        Phylum = Op.Children[C].second;
+        Phylum = &Op.Children[C].second;
       }
     if (Pos == ~0u && E.Name == Op.LhsPhylum) {
       Pos = 0;
-      Phylum = Op.LhsPhylum;
+      Phylum = &Op.LhsPhylum;
     }
     if (Pos == ~0u)
       return false; // sema reported already
-    PhylumId Phy = AG.findPhylum(Phylum);
+    PhylumId Phy = AG.findPhylum(*Phylum);
     AttrId A = Phy == InvalidId ? InvalidId : AG.findAttr(Phy, E.Member);
     if (A == InvalidId)
       return false;
@@ -156,9 +155,8 @@ LoweredGrammar GrammarLowerer::run() {
       Builder.synthesized(Phy, A.Name, T.str());
   }
 
-  // Operators.
-  std::map<std::string, ProdId> Prods;
-  std::map<std::string, const OperatorDecl *> OpDecls;
+  // Operators, indexed by the production each one lowers to.
+  std::vector<const OperatorDecl *> OpOf;
   for (const OperatorDecl &Op : G.Operators) {
     PhylumId Lhs = Builder.grammar().findPhylum(Op.LhsPhylum);
     if (Lhs == InvalidId)
@@ -175,21 +173,19 @@ LoweredGrammar GrammarLowerer::run() {
     if (!Ok)
       continue;
     bool StringLexeme = Op.HasLexeme && Op.LexemeType.Name == "string";
-    Prods[Op.Name] =
-        Builder.production(Op.Name, Lhs, std::move(Rhs), Op.HasLexeme,
-                           StringLexeme);
-    OpDecls[Op.Name] = &Op;
+    Builder.production(Op.Name, Lhs, std::move(Rhs), Op.HasLexeme,
+                       StringLexeme);
+    OpOf.push_back(&Op);
   }
 
   // Rules. Locals accumulate per operator across its blocks.
-  std::map<std::string, std::map<std::string, AttrOcc>> LocalsOf;
+  std::vector<std::map<std::string, AttrOcc>> LocalsOf(OpOf.size());
   for (RuleBlock &Block : G.Rules) {
-    auto PIt = Prods.find(Block.Operator);
-    if (PIt == Prods.end())
+    ProdId P = Builder.grammar().findProd(Block.Operator);
+    if (P == InvalidId)
       continue;
-    ProdId P = PIt->second;
-    const OperatorDecl &Op = *OpDecls[Block.Operator];
-    auto &Locals = LocalsOf[Block.Operator];
+    const OperatorDecl &Op = *OpOf[P];
+    auto &Locals = LocalsOf[P];
 
     // Two passes: declare locals first so rules may reference them in any
     // textual order, then lower the defining expressions.

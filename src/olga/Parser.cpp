@@ -36,19 +36,22 @@ private:
     return Tokens[I];
   }
   bool at(TokKind K) const { return peek().Kind == K; }
-  Token consume() { return Tokens[std::min(Pos++, Tokens.size() - 1)]; }
+  const Token &consume() { return Tokens[std::min(Pos++, Tokens.size() - 1)]; }
   bool accept(TokKind K) {
     if (!at(K))
       return false;
     consume();
     return true;
   }
-  Token expect(TokKind K, const char *Context) {
+  /// Consumes a \p K token, or reports its absence and returns a blank
+  /// stand-in (valid until the next failed expect) without consuming.
+  const Token &expect(TokKind K, const char *Context) {
     if (at(K))
       return consume();
     error(std::string("expected ") + tokKindName(K) + " " + Context +
           ", found " + tokKindName(peek().Kind));
-    return Token{K, "", 0, peek().Loc};
+    Missing = Token{K, {}, 0, peek().Loc};
+    return Missing;
   }
   void error(const std::string &Msg) { Diags.error(Msg, peek().Loc); }
   void sync(std::initializer_list<TokKind> Until) {
@@ -62,10 +65,10 @@ private:
 
   //===-- shared pieces ---------------------------------------------------===//
   TypeRef parseTypeRef() {
-    Token T = consume();
+    const Token &T = consume();
     switch (T.Kind) {
     case TokKind::Ident:
-      return {T.Text, T.Loc};
+      return {std::string(T.Text), T.Loc};
     default:
       // Builtin type names lex as identifiers except when they collide with
       // keywords; none do, so anything else is an error.
@@ -77,9 +80,9 @@ private:
   std::vector<std::string> parseImports() {
     std::vector<std::string> Imports;
     while (accept(TokKind::KwImport)) {
-      Imports.push_back(expect(TokKind::Ident, "after 'import'").Text);
+      Imports.emplace_back(expect(TokKind::Ident, "after 'import'").Text);
       while (accept(TokKind::Comma))
-        Imports.push_back(expect(TokKind::Ident, "in import list").Text);
+        Imports.emplace_back(expect(TokKind::Ident, "in import list").Text);
     }
     return Imports;
   }
@@ -128,9 +131,9 @@ private:
     expect(TokKind::LParen, "in function signature");
     if (!at(TokKind::RParen)) {
       do {
-        std::string P = expect(TokKind::Ident, "as parameter name").Text;
+        std::string P(expect(TokKind::Ident, "as parameter name").Text);
         expect(TokKind::Colon, "after parameter name");
-        F.Params.emplace_back(P, parseTypeRef());
+        F.Params.emplace_back(std::move(P), parseTypeRef());
       } while (accept(TokKind::Comma));
     }
     expect(TokKind::RParen, "closing the parameter list");
@@ -191,10 +194,10 @@ private:
     expect(TokKind::LParen, "in operator signature");
     if (!at(TokKind::RParen)) {
       do {
-        std::string Var = expect(TokKind::Ident, "as child name").Text;
+        std::string Var(expect(TokKind::Ident, "as child name").Text);
         expect(TokKind::Colon, "after child name");
-        std::string Phy = expect(TokKind::Ident, "as child phylum").Text;
-        Op.Children.emplace_back(Var, Phy);
+        std::string Phy(expect(TokKind::Ident, "as child phylum").Text);
+        Op.Children.emplace_back(std::move(Var), std::move(Phy));
       } while (accept(TokKind::Comma));
     }
     expect(TokKind::RParen, "closing the child list");
@@ -224,7 +227,7 @@ private:
         expect(TokKind::Assign, "in local attribute definition");
         S.Value = parseExpr();
       } else if (at(TokKind::Ident)) {
-        std::string First = consume().Text;
+        std::string_view First = consume().Text;
         if (accept(TokKind::Dot)) {
           S.Base = First;
           S.Attr = expect(TokKind::Ident, "as attribute name").Text;
@@ -487,6 +490,7 @@ private:
   std::vector<Token> Tokens;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+  Token Missing;
 };
 
 } // namespace
