@@ -18,10 +18,12 @@
 // compile or the two engines disagree on the class — the bench doubles as
 // a coarse differential check.
 //
-// Each point also times the two phases after the cascade, visit-sequence
-// generation and the space optimization (analyzeStorage). They go to a
-// separate "phases" table and JSON section, report-only: their keys are
-// not bench_check metrics.
+// Each point also times the molga front end that produces the grammar
+// (compileMolga: parse, check, optimize, lower) next to its source size,
+// and the two phases after the cascade, visit-sequence generation and the
+// space optimization (analyzeStorage). They go to a separate "phases"
+// table and JSON section, report-only: their keys are not bench_check
+// metrics.
 //
 //===----------------------------------------------------------------------===//
 
@@ -86,12 +88,29 @@ Entry measure(const std::string &Spec, const std::string &Engine,
   return E;
 }
 
-/// Report-only milliseconds of the phases after the cascade.
+/// Report-only source size and milliseconds of the front end and of the
+/// phases after the cascade.
 struct PhaseEntry {
   std::string Spec;
+  double SourceKb = 0;
+  double MolgaMs = 0;
   double VisitSeqMs = 0;
   double StorageMs = 0;
 };
+
+/// Times compileMolga on \p Source, one warm-up round then the mean of
+/// Rounds.
+double measureMolga(const std::string &Source) {
+  double Ms = 0;
+  for (unsigned Round = 0; Round <= Rounds; ++Round) {
+    DiagnosticEngine D;
+    Timer T;
+    (void)olga::compileMolga(Source, D);
+    if (Round != 0)
+      Ms += T.milliseconds() / Rounds;
+  }
+  return Ms;
+}
 
 /// Times buildVisitSequences and analyzeStorage on the worklist cascade's
 /// transformation, one warm-up round then the mean of Rounds. Returns false
@@ -137,8 +156,11 @@ void emitJson(const std::vector<Entry> &Es,
   Out << "  ],\n  \"phases\": [\n";
   for (size_t I = 0; I != Phases.size(); ++I) {
     const PhaseEntry &P = Phases[I];
+    // Fixed-point text keeps the size a JSON float, never a key field.
     Out << "    {\"spec\": \"" << P.Spec
-        << "\", \"visitseq_ms\": " << P.VisitSeqMs
+        << "\", \"source_kb\": " << TablePrinter::num(P.SourceKb, 1)
+        << ", \"molga_ms\": " << P.MolgaMs
+        << ", \"visitseq_ms\": " << P.VisitSeqMs
         << ", \"storage_ms\": " << P.StorageMs << "}"
         << (I + 1 == Phases.size() ? "\n" : ",\n");
   }
@@ -156,7 +178,8 @@ int main() {
   std::vector<PhaseEntry> Phases;
   TablePrinter T({"spec", "phyla", "prods", "class", "naive ms",
                   "worklist ms", "speedup"});
-  TablePrinter PT({"spec", "visitseq ms", "storage ms"});
+  TablePrinter PT(
+      {"spec", "source KB", "molga ms", "visitseq ms", "storage ms"});
   bool Ok = true;
   for (const SweepPoint &P : Sweep) {
     workloads::SpecGenOptions Opts;
@@ -165,9 +188,9 @@ int main() {
     Opts.OperatorsPerPhylum = P.Ops;
     Opts.AttrPairs = P.AttrPairs;
     Opts.Seed = 7;
+    const std::string Source = workloads::generateMolgaSpec(Opts);
     DiagnosticEngine Diags;
-    olga::CompileResult C =
-        olga::compileMolga(workloads::generateMolgaSpec(Opts), Diags);
+    olga::CompileResult C = olga::compileMolga(Source, Diags);
     if (!C.Success) {
       std::fprintf(stderr, "%s: compile failed:\n%s\n", P.Name,
                    Diags.dump().c_str());
@@ -192,13 +215,17 @@ int main() {
     Entries.push_back(W);
 
     PhaseEntry Ph;
+    Ph.SourceKb = Source.size() / 1024.0;
+    Ph.MolgaMs = measureMolga(Source);
     if (!measurePhases(P.Name, AG, Ph)) {
       std::fprintf(stderr, "%s: transform or visit sequences failed\n",
                    P.Name);
       Ok = false;
       continue;
     }
-    PT.addRow({P.Name, TablePrinter::num(Ph.VisitSeqMs, 3),
+    PT.addRow({P.Name, TablePrinter::num(Ph.SourceKb, 1),
+               TablePrinter::num(Ph.MolgaMs, 3),
+               TablePrinter::num(Ph.VisitSeqMs, 3),
                TablePrinter::num(Ph.StorageMs, 3)});
     Phases.push_back(Ph);
   }
@@ -206,8 +233,8 @@ int main() {
   std::printf("== generator cascade scaling (SNC+DNC+OAG+transform, "
               "%u rounds per point) ==\n%s\n",
               Rounds, T.str().c_str());
-  std::printf("== phases after the cascade (report-only, %u rounds per "
-              "point) ==\n%s\n",
+  std::printf("== molga front end and phases after the cascade "
+              "(report-only, %u rounds per point) ==\n%s\n",
               Rounds, PT.str().c_str());
   emitJson(Entries, Phases);
   std::printf("wrote generator_scaling.json\n");
