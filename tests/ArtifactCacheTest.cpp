@@ -105,6 +105,10 @@ struct ClassicCase {
   unsigned TreeSize;
 };
 
+// Names the case in test listings; the default byte dump would embed the
+// load address of Name and Make, so the listed name would change per build.
+void PrintTo(const ClassicCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class ArtifactRoundTripTest : public ::testing::TestWithParam<ClassicCase> {};
 
 // generate -> encode -> decode: verdicts, sequences, streams and storage
