@@ -2,7 +2,7 @@
 
 #include "analysis/Classify.h"
 #include "eval/Evaluator.h"
-#include "fnc2/ArtifactCache.h"
+#include "fnc2/Generator.h"
 #include "grammar/GrammarBuilder.h"
 #include "olga/Driver.h"
 #include "serialize/Serialize.h"
@@ -399,10 +399,45 @@ TEST(GroupingTest, GroupCountsNeverExceedClassCounts) {
 // Golden storage assignments
 //===----------------------------------------------------------------------===//
 
-/// One line per grammar: the FNV-1a of the whole generated artifact (which
-/// serializes the complete StorageAssignment: classes, groups, intervals and
-/// eliminated copies) plus the readable Table 1 statistics, so a drift shows
-/// both that and where the space optimization changed its decision.
+/// FNV-1a of a canonical encoding of the complete storage decision
+/// (classes, groups, intervals, eliminated copies and the Table 1 counters)
+/// together with the fingerprint of the compiled plan it was made for. The
+/// encoding is local to this test, so the golden pins the space
+/// optimization and not the artifact cache's byte layout.
+uint64_t storageDigest(const GeneratedEvaluator &GE) {
+  const StorageAssignment &SA = GE.Storage;
+  serialize::ByteWriter W;
+  W.u32(static_cast<uint32_t>(SA.ClassOf.size()));
+  for (StorageClass C : SA.ClassOf)
+    W.u8(static_cast<uint8_t>(C));
+  W.u32(static_cast<uint32_t>(SA.GroupOf.size()));
+  for (unsigned G : SA.GroupOf)
+    W.u32(G);
+  W.u32(SA.NumVarGroups);
+  W.u32(SA.NumStackGroups);
+  W.u32(static_cast<uint32_t>(SA.Intervals.size()));
+  for (const LifetimeInterval &I : SA.Intervals) {
+    W.u32(I.SeqIdx);
+    W.u32(I.FlatId);
+    W.u32(I.DefPos);
+    W.u32(I.EndPos);
+    W.u32(I.DefRule);
+    W.boolean(I.CrossesVisit);
+  }
+  W.u32(static_cast<uint32_t>(SA.CopyEliminated.size()));
+  for (bool B : SA.CopyEliminated)
+    W.boolean(B);
+  for (unsigned N : {SA.NumVariableAttrs, SA.NumStackAttrs, SA.NumTreeAttrs,
+                     SA.TotalCopyRules, SA.EliminatedCopyRules,
+                     SA.EliminableCopyRules})
+    W.u32(N);
+  W.u64(planFingerprint(CompiledPlan(GE.Plan)));
+  return serialize::fnv1a64(W.bytes());
+}
+
+/// One line per grammar: storageDigest() plus the readable Table 1
+/// statistics, so a drift shows both that and where the space optimization
+/// changed its decision.
 std::string storageLine(const std::string &Name, const AttributeGrammar &AG,
                         unsigned OagK) {
   DiagnosticEngine GD;
@@ -419,8 +454,7 @@ std::string storageLine(const std::string &Name, const AttributeGrammar &AG,
                 "%s fnv=%016llx vars=%u stacks=%u tree=%u var_groups=%u "
                 "stack_groups=%u copies=%u eliminated=%u eliminable=%u\n",
                 Name.c_str(),
-                static_cast<unsigned long long>(serialize::fnv1a64(
-                    ArtifactCache::encode(AG, Opts, GE))),
+                static_cast<unsigned long long>(storageDigest(GE)),
                 SA.NumVariableAttrs, SA.NumStackAttrs, SA.NumTreeAttrs,
                 SA.NumVarGroups, SA.NumStackGroups, SA.TotalCopyRules,
                 SA.EliminatedCopyRules, SA.EliminableCopyRules);
