@@ -33,12 +33,6 @@
 
 namespace fnc2 {
 
-/// Serializer/deserializer of compiled plans (fnc2/ArtifactCache.cpp); the
-/// only code allowed to materialize a CompiledPlan from anything but a
-/// live EvaluationPlan.
-struct ArtifactCodec;
-struct CompiledArtifact;
-
 /// Where a compiled rule argument is read from (or a target written to): a
 /// frame slot of the node itself, a frame slot of one of its children, or
 /// the node's lexeme.
@@ -153,13 +147,6 @@ public:
     N->ensureFrame(S.NumAttrs, S.NumLocals);
   }
 
-  /// Recomputes the derived cohort metadata (LexemeUsed, MaxFrameSlots) the
-  /// merged batch engine reads. Derived from the pools + grammar, so it is
-  /// never serialized: the compiling constructor calls it, and the artifact
-  /// codec calls it again after a successful decode. planFingerprint() does
-  /// not cover it.
-  void computeCohortMeta(const AttributeGrammar &AG);
-
   //===--- flat pools, read-only for the engines --------------------------===//
 
   std::vector<CompiledInstr> Instrs;
@@ -194,12 +181,10 @@ public:
   unsigned MaxFrameSlots = 0;
 
 private:
-  /// The artifact codec rebuilds the pools from a deserialized image and
-  /// rebinds Src to the reloaded plan; nothing else may bypass the
-  /// compiling constructor.
-  friend struct ArtifactCodec;
-  friend struct CompiledArtifact;
-  CompiledPlan() = default;
+  /// Computes the derived cohort metadata (LexemeUsed, MaxFrameSlots) the
+  /// merged batch engine reads from the pools + grammar.
+  /// planFingerprint() does not cover it.
+  void computeCohortMeta(const AttributeGrammar &AG);
 
   const EvaluationPlan *Src = nullptr;
 };

@@ -94,16 +94,11 @@ struct CompiledStorage {
   std::vector<Ref> Args;       ///< Parallel to CompiledPlan::Args.
   std::vector<RuleInfo> Rules; ///< Parallel to CompiledPlan::Rules.
 
+  /// Empty side tables, for a plan generated without the space optimization.
+  CompiledStorage() = default;
   CompiledStorage(const CompiledPlan &CP, const StorageAssignment &SA);
 
   bool operator==(const CompiledStorage &) const = default;
-
-private:
-  /// The artifact codec (fnc2/ArtifactCache.cpp) reloads the side tables
-  /// from a cached artifact instead of re-deriving them.
-  friend struct ArtifactCodec;
-  friend struct CompiledArtifact;
-  CompiledStorage() = default;
 };
 
 /// Evaluates an EvaluationPlan under a StorageAssignment.
