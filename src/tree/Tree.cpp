@@ -4,6 +4,8 @@
 
 #include <cctype>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 using namespace fnc2;
 
@@ -261,7 +263,10 @@ public:
     skipSpace();
     if (peek() == '<') {
       ++Pos;
-      Lexeme = parseLexeme();
+      std::optional<Value> L = parseLexeme();
+      if (!L)
+        return nullptr;
+      Lexeme = std::move(*L);
       if (peek() != '>') {
         error("expected '>' after lexeme");
         return nullptr;
@@ -332,7 +337,8 @@ private:
       ++Pos;
     return Text.substr(Start, Pos - Start);
   }
-  Value parseLexeme() {
+  /// A string or integer lexeme; std::nullopt after reporting an error.
+  std::optional<Value> parseLexeme() {
     skipSpace();
     if (peek() == '"') {
       ++Pos;
@@ -348,18 +354,28 @@ private:
       Neg = true;
       ++Pos;
     }
-    int64_t V = 0;
-    bool Any = false;
+    // The magnitude may reach INT64_MAX, or one more when negative.
+    const uint64_t Max =
+        uint64_t(std::numeric_limits<int64_t>::max()) + (Neg ? 1 : 0);
+    uint64_t V = 0;
+    bool Any = false, InRange = true;
     while (Pos < Text.size() &&
            std::isdigit(static_cast<unsigned char>(Text[Pos]))) {
-      V = V * 10 + (Text[Pos++] - '0');
+      unsigned Digit = Text[Pos++] - '0';
+      InRange = InRange && V <= (Max - Digit) / 10;
+      if (InRange)
+        V = V * 10 + Digit;
       Any = true;
     }
     if (!Any) {
       error("expected lexeme value");
-      return Value();
+      return std::nullopt;
     }
-    return Value::ofInt(Neg ? -V : V);
+    if (!InRange) {
+      error("lexeme out of range");
+      return std::nullopt;
+    }
+    return Value::ofInt(static_cast<int64_t>(Neg ? 0 - V : V));
   }
   void error(const std::string &Msg) {
     Diags.error("term syntax: " + Msg + " at offset " + std::to_string(Pos));

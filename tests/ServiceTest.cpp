@@ -582,6 +582,24 @@ TEST(ServiceDaemon, RegisterEvaluateFlow) {
   EXPECT_GE(D.stats().Errors.load(), 2u);
 }
 
+// A lexeme beyond int64 is a term error, not signed overflow and an Ok.
+TEST(ServiceDaemon, EvaluateRejectsOutOfRangeLexeme) {
+  Daemon D;
+  uint64_t Key = registerGrammar(D, "builtin:desk");
+  ASSERT_NE(Key, 0u);
+
+  Request Ev;
+  Ev.Kind = RequestKind::Evaluate;
+  Ev.Id = 3;
+  Ev.GrammarKey = Key;
+  Ev.Terms = {"Calc(Num<99999999999999999999999>)"};
+  Response R = D.execute(Ev);
+  EXPECT_EQ(R.St, Status::Error);
+  EXPECT_EQ(R.Error.rfind("evaluate:", 0), 0u) << R.Error;
+  EXPECT_NE(R.Error.find("lexeme out of range"), std::string::npos) << R.Error;
+  EXPECT_EQ(D.stats().TreesEvaluated.load(), 0u);
+}
+
 TEST(ServiceDaemon, BatchMergedAgreesWithSequential) {
   DiagnosticEngine GD;
   AttributeGrammar AG = workloads::deskCalculator(GD);

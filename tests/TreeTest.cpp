@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace fnc2;
 
 namespace {
@@ -73,6 +75,27 @@ TEST_F(TreeTest, TermSyntaxErrors) {
     EXPECT_TRUE(D.hasErrors()) << C.Text;
     EXPECT_NE(D.dump().find(C.ExpectSubstring), std::string::npos)
         << C.Text << " => " << D.dump();
+  }
+}
+
+TEST_F(TreeTest, TermLexemesSpanInt64) {
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  for (int64_t V : {Max, Min}) {
+    DiagnosticEngine D;
+    Tree T = readTerm(AG, "Calc(Num<" + std::to_string(V) + ">)", D);
+    ASSERT_FALSE(D.hasErrors()) << V << ": " << D.dump();
+    EXPECT_EQ(T.root()->child(0)->Lexeme.asInt(), V);
+  }
+  for (const char *Text :
+       {"Calc(Num<9223372036854775808>)", "Calc(Num<-9223372036854775809>)",
+        "Calc(Num<99999999999999999999999>)"}) {
+    DiagnosticEngine D;
+    Tree T = readTerm(AG, Text, D);
+    EXPECT_EQ(D.errorCount(), 1u) << Text << " => " << D.dump();
+    EXPECT_NE(D.dump().find("lexeme out of range"), std::string::npos)
+        << Text << " => " << D.dump();
+    EXPECT_EQ(T.root(), nullptr) << Text;
   }
 }
 
