@@ -11,11 +11,8 @@
 #      point, and — when a host C++ compiler exists — the compiled SoA
 #      kernels must beat the interpreted visits by >=1.5x on the resident
 #      MergedBatchSession at the same point, exiting nonzero otherwise), the
-#      generator-scaling bench (cascade: naive vs worklist fixpoint) and the
-#      cache-warmup bench (cold cascade+store vs warm artifact load; the
-#      bench itself exits nonzero if any warm run misses the cache or if the
-#      warm speedup falls below the 5x floor at the largest sweep point);
-#      and the incremental-scaling bench (edit-log replay against 1k/10k/
+#      generator-scaling bench (cascade: naive vs worklist fixpoint); and
+#      the incremental-scaling bench (edit-log replay against 1k/10k/
 #      100k-node trees; the bench exits nonzero unless median per-edit work
 #      stays proportional to the affected region — not the tree — and every
 #      session, including the 100k-node one, saves and resumes
@@ -31,9 +28,9 @@
 #      non-Ok, if concurrent registrations fail to collapse to one
 #      generation per grammar, or if the 8-client p99 latency exceeds its
 #      floor). Their JSON outputs are copied to BENCH_evaluators.json,
-#      BENCH_batch.json, BENCH_generator.json, BENCH_cache.json,
-#      BENCH_incremental.json, BENCH_native.json and BENCH_service.json
-#      at the repo root on every run.
+#      BENCH_batch.json, BENCH_generator.json, BENCH_incremental.json,
+#      BENCH_native.json and BENCH_service.json at the repo root on every
+#      run.
 #   3. bench_check: the fresh bench JSONs are diffed against the committed
 #      baselines; any shared data point worse than its metric's tolerance
 #      fails the run (bench/bench_check.py — per-metric tolerances,
@@ -54,7 +51,9 @@
 #      word-indexed bit rows are checked for out-of-range access; the molga
 #      front-end and grammar suites run here so the tokens' views of the
 #      source, the parser's token references and the derived occurrence
-#      ids are checked for dangling or out-of-range access.
+#      ids are checked for dangling or out-of-range access; the tree suite
+#      runs here so the term reader's integer lexemes are checked for
+#      signed overflow at the int64 bounds.
 #   5. ThreadSanitizer build (-DFNC2_SANITIZE=thread) + the concurrency,
 #      differential, interning, trace, oracle, parallel-cascade,
 #      artifact-cache, multi-session and native-backend race tests, which
@@ -78,11 +77,10 @@ cmake -B "$SRC/build" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$SRC/build" -j "$JOBS"
 ctest --test-dir "$SRC/build" --output-on-failure -j "$JOBS"
 
-echo "== [2/5] perf baselines (observability + batch + generator + cache + incremental + native + service) =="
+echo "== [2/5] perf baselines (observability + batch + generator + incremental + native + service) =="
 cmake --build "$SRC/build" -j "$JOBS" \
       --target observability_overhead batch_throughput generator_scaling \
-               cache_warmup incremental_scaling native_speedup \
-               service_traffic
+               incremental_scaling native_speedup service_traffic
 (cd "$SRC/build/bench" && ./observability_overhead)
 # batch_throughput's merged-scaling sweep doubles as the shape-merging
 # gate: merged must reach >=1.5x the per-tree batch rate at 100k small
@@ -91,10 +89,6 @@ cmake --build "$SRC/build" -j "$JOBS" \
 (cd "$SRC/build/bench" && ./batch_throughput --trees 10000 --trees 100000 \
                                              --benchmark_min_time=0.05s)
 (cd "$SRC/build/bench" && ./generator_scaling)
-# cache_warmup doubles as the cold-then-warm generator gate: it asserts
-# every warm-phase generateEvaluator call reports FromCache (a cache.hit)
-# and enforces the >=5x warm speedup floor, exiting 1 otherwise.
-(cd "$SRC/build/bench" && ./cache_warmup)
 # incremental_scaling self-gates: median per-edit reevaluation must stay
 # proportional to the bounded edit region from 1k to 100k nodes, beat a
 # from-scratch pass by >=4x at every point, and every session must save
@@ -125,10 +119,6 @@ if [ -f "$SRC/BENCH_generator.json" ]; then
   python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_generator.json" \
           "$SRC/build/bench/generator_scaling.json"
 fi
-if [ -f "$SRC/BENCH_cache.json" ]; then
-  python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_cache.json" \
-          "$SRC/build/bench/cache_warmup.json"
-fi
 if [ -f "$SRC/BENCH_incremental.json" ]; then
   python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_incremental.json" \
           "$SRC/build/bench/incremental_scaling.json"
@@ -144,13 +134,11 @@ fi
 cp "$SRC/build/bench/evaluator_baselines.json" "$SRC/BENCH_evaluators.json"
 cp "$SRC/build/bench/batch_throughput.json" "$SRC/BENCH_batch.json"
 cp "$SRC/build/bench/generator_scaling.json" "$SRC/BENCH_generator.json"
-cp "$SRC/build/bench/cache_warmup.json" "$SRC/BENCH_cache.json"
 cp "$SRC/build/bench/incremental_scaling.json" "$SRC/BENCH_incremental.json"
 cp "$SRC/build/bench/native_speedup.json" "$SRC/BENCH_native.json"
 cp "$SRC/build/bench/service_traffic.json" "$SRC/BENCH_service.json"
 echo "wrote BENCH_evaluators.json, BENCH_batch.json, BENCH_generator.json," \
-     "BENCH_cache.json, BENCH_incremental.json, BENCH_native.json," \
-     "BENCH_service.json"
+     "BENCH_incremental.json, BENCH_native.json, BENCH_service.json"
 
 echo "== [4/5] ASan+UBSan build + serialization/corruption gate =="
 cmake -B "$SRC/build-asan" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -159,9 +147,9 @@ cmake --build "$SRC/build-asan" -j "$JOBS" \
       --target serialize_test artifact_cache_test edit_log_test \
                merged_batch_test native_backend_test native_merged_test \
                service_test service_soak_test storage_test olga_test \
-               grammar_test
+               grammar_test tree_test
 ctest --test-dir "$SRC/build-asan" --output-on-failure -j "$JOBS" \
-      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName'
+      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest'
 
 echo "== [5/5] ThreadSanitizer build + race gate =="
 cmake -B "$SRC/build-tsan" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
