@@ -1,7 +1,7 @@
 //===- tests/FamilyCheck.h - shared evaluator-family checkers ---*- C++ -*-===//
 //
 // The cross-engine differential machinery shared by DifferentialTest (fresh
-// generations), ArtifactCacheTest (deserialized generations) and
+// generations), ArtifactCacheTest (loaded generations) and
 // MergedBatchTest: clone helpers, the structural attribution comparator, and
 // runFamily(), which drives a *registry* of engines over generated trees and
 // cross-checks every one against the sequential exhaustive evaluator.
@@ -174,7 +174,7 @@ inline void runStorageInterp(const EngineContext &C) {
   }
 }
 
-// Engines borrowing the artifact bundle's deserialized compiled state (only
+// Engines borrowing the artifact bundle's compiled state (only
 // when the generation carried one — cache hit or store).
 inline void runArtifactBorrowed(const EngineContext &C) {
   if (!C.GE.Compiled)
