@@ -259,7 +259,9 @@ void runMergedScaling(const std::vector<unsigned> &Points,
         Pt.Fallback = ME.mergedStats().TreesFallback;
       }
       if (Module) {
-        NativeMergedEvaluator NE(GE.Plan, CP, Module, Pool);
+        NativeCohortKernel K(CP, Module);
+        MergedBatchEvaluator NE(GE.Plan, CP, Pool);
+        NE.setKernel(&K);
         Pt.NativeRate = treesPerSec(Trees.size(), [&] {
           BatchResult R = NE.evaluate(Trees);
           if (!R.allSucceeded())

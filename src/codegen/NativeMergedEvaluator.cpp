@@ -5,13 +5,6 @@
 using namespace fnc2;
 using namespace fnc2::native;
 
-NativeMergedEvaluator::NativeMergedEvaluator(
-    const EvaluationPlan &Plan, const CompiledPlan &Compiled,
-    std::shared_ptr<const NativeModule> Module, ThreadPool &Pool)
-    : K(Compiled, std::move(Module)), Merged(Plan, Compiled, Pool) {
-  Merged.setKernel(&K);
-}
-
 bool NativeCohortKernel::run(const Shard &S, MergedStats &WS,
                              std::string &FailMsg) {
   const CohortShape &Sh = S.Shape;

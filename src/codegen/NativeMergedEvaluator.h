@@ -6,20 +6,20 @@
 ///
 /// \file
 /// The eighth engine: shape-merged cohort evaluation driven by the native
-/// backend's compiled SoA kernels. eval/MergedBatchEvaluator keeps doing
-/// everything structural — cohort formation, lane layout, lexeme and
-/// root-inherited prefill, sharding over the thread pool, scatter-back with
-/// idempotent-store elision, the per-tree fallback for sub-threshold shape
-/// groups — while each merged shard's visit loop runs through the
-/// `fnc2_native_soa_run` entry point codegen/SoAEmitter emitted: one
-/// specialized member-loop function per (production, visit), no per-member
-/// dispatch anywhere. Same external contract as MergedBatchEvaluator
-/// (evaluate / mergedStats / threshold knobs), bit-identical attributions,
-/// diagnostics and folded counters (the engine-family suites pin this).
+/// backend's compiled SoA kernels. The merged pipeline
+/// (eval/MergedBatchSession.h) keeps doing everything structural — cohort
+/// formation, lane layout, lexeme and root-inherited fill, sharding over
+/// the thread pool, scatter-back with idempotent-store elision, the
+/// per-tree fallback for sub-threshold shape groups — while each merged
+/// shard's visit loop runs through the `fnc2_native_soa_run` entry point
+/// codegen/SoAEmitter emitted: one specialized member-loop function per
+/// (production, visit), no per-member dispatch anywhere. Install a
+/// NativeCohortKernel with setKernel() on a MergedBatchEvaluator (one-shot)
+/// or a MergedBatchSession (resident); attributions, diagnostics and
+/// folded counters stay bit-identical (the engine-family suites pin this).
 ///
-/// Instances are cheap wrappers; concurrent shards over one shared
-/// NativeModule are safe because each kernel run carries its own SoaRunCtx
-/// and position table.
+/// Concurrent shards over one shared NativeModule are safe because each
+/// kernel run carries its own SoaRunCtx and position table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,11 +34,8 @@ namespace fnc2 {
 /// The CohortKernel bridging a merged shard to the compiled entry point:
 /// builds the level-order SoaPos table over the shard's laid-out lanes,
 /// runs fnc2_native_soa_run, folds its counters and rephrases its failure
-/// report as the interpreted diagnostics. Reusable anywhere the merged
-/// engine's kernel seam appears: NativeMergedEvaluator installs one into
-/// its MergedBatchEvaluator, and a MergedBatchSession accepts one through
-/// setKernel() for resident batches. Thread-safe (one run() per shard,
-/// thread-local position table).
+/// report as the interpreted diagnostics. Thread-safe (one run() per
+/// shard, thread-local position table).
 class NativeCohortKernel : public CohortKernel {
 public:
   /// \p CP must be the live plan \p M was bound against; both must outlive
@@ -51,37 +48,6 @@ public:
 private:
   const CompiledPlan &CP;
   std::shared_ptr<const NativeModule> Module;
-};
-
-class NativeMergedEvaluator {
-public:
-  /// \p Compiled must be the live plan \p Module was bound against (the
-  /// backend validated the fingerprint); plan, compiled plan, module and
-  /// pool must outlive this.
-  NativeMergedEvaluator(const EvaluationPlan &Plan,
-                        const CompiledPlan &Compiled,
-                        std::shared_ptr<const NativeModule> Module,
-                        ThreadPool &Pool);
-
-  /// Same contracts as MergedBatchEvaluator.
-  void setRootInherited(AttrId A, Value V) {
-    Merged.setRootInherited(A, std::move(V));
-  }
-  void setCohortThreshold(unsigned T) { Merged.setCohortThreshold(T); }
-  unsigned cohortThreshold() const { return Merged.cohortThreshold(); }
-  void setShardMaxMembers(unsigned M) { Merged.setShardMaxMembers(M); }
-  unsigned shardMaxMembers() const { return Merged.shardMaxMembers(); }
-
-  BatchResult evaluate(std::vector<Tree> &Trees) {
-    return Merged.evaluate(Trees);
-  }
-
-  const MergedStats &mergedStats() const { return Merged.mergedStats(); }
-  const CompiledPlan &compiled() const { return Merged.compiled(); }
-
-private:
-  NativeCohortKernel K;
-  MergedBatchEvaluator Merged;
 };
 
 } // namespace fnc2

@@ -316,7 +316,7 @@ CppEmitResult fnc2::emitSoaCpp(const AttributeGrammar &AG,
   }
 
   // Root drivers: every visit of the production's root-partition sequence,
-  // in order (what the host's runShard visit loop does).
+  // in order (what the host's interpreted visit loop does).
   for (unsigned P = 0; P != NumProds; ++P) {
     const CompiledSeq *Seq = CP.seqFor(P, RootPart);
     if (!Seq)

@@ -11,7 +11,7 @@
 /// CppEmitter specializes one tree position per call, this emitter
 /// specializes one *lane loop* per instruction: every semantic rule of a
 /// (production, visit) body becomes a tight member loop over the
-/// member-contiguous attribute lanes of eval/MergedBatchEvaluator's
+/// member-contiguous attribute lanes of eval/MergedBatchSession's
 /// SoAFrameArena (slot S of a position lives at Lane0 + S * NumMembers),
 /// with restrict-qualified lane pointers resolved once per rule and no
 /// per-member dispatch of any kind. The four lowering tiers match the

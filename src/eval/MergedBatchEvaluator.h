@@ -1,214 +1,64 @@
-//===- eval/MergedBatchEvaluator.h - Shape-merged batch engine --*- C++ -*-===//
+//===- eval/MergedBatchEvaluator.h - One-shot merged batches ----*- C++ -*-===//
 //
 // Part of fnc2cpp, a reproduction of the FNC-2 attribute grammar system.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shape-merged batch engine: groups the trees of a batch by production
-/// shape (the level-order production sequence — productions have fixed
-/// arity, so it determines the structure completely), lays each cohort's
-/// attribute frames out structure-of-arrays (storage/SoAFrames.h), and
-/// executes every visit-sequence instruction of the shared CompiledPlan
-/// *once per cohort*: the shadow walk runs over shape positions, and only
-/// the innermost semantic-function loop iterates over members. Per-tree
-/// dispatch, sequence lookup, frame setup and task hand-off are all
-/// amortized across the cohort — GeNN's merged-group design applied to
-/// attribute evaluation.
+/// The one-shot entry point of the shape-merged batch pipeline
+/// (eval/MergedBatchSession.h): evaluate() binds the trees to a private
+/// session, runs one evaluation that scatters each cohort shard's
+/// attribution into the trees as soon as the shard finishes, and releases
+/// the trees, answering with the per-tree BatchResult the other batch
+/// engines give. The session's lane arenas and flat buffers survive
+/// from call to call, so evaluating a batch every round re-faults no lane
+/// storage; no pointer to the trees survives a call.
 ///
-/// Cohorts are sharded into member ranges of at most shardMaxMembers()
-/// for the thread pool; each shard owns its own lanes and masks, so shards
-/// of one cohort race on nothing. Shape groups smaller than
-/// cohortThreshold() fall back to the classic per-tree path (one Evaluator
-/// per tree over the same shared plan).
-///
-/// Because every member of a cohort executes the identical instruction
-/// stream, plan-level failures (missing visit sequence, rule without a
-/// semantic function, unset root-inherited attribute) hit every member at
-/// the same instruction with the same diagnostic the sequential Evaluator
-/// emits; the failed members' trees are reset rather than left with the
-/// sequential engine's partial attribution. MergedStats' three EvalStats
-/// mirror counters fold to exactly the sum of the per-member sequential
-/// counters, on success and failure alike (DifferentialTest pins this).
+/// Outcomes match the sequential Evaluator's: a fallback tree carries the
+/// classic engine's diagnostics, a failed cohort tree the same message as
+/// an error, and is reset rather than left partially attributed.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FNC2_EVAL_MERGEDBATCHEVALUATOR_H
 #define FNC2_EVAL_MERGEDBATCHEVALUATOR_H
 
-#include "eval/BatchEvaluator.h"
-#include "storage/SoAFrames.h"
-#include "support/ThreadPool.h"
+#include "eval/MergedBatchSession.h"
 
 namespace fnc2 {
-
-/// Merged-engine counters: the first three mirror EvalStats (and fold to
-/// the same totals as per-tree sequential evaluation); the rest describe
-/// cohort formation, including a shape-group size histogram. Reset at the
-/// top of every evaluate() call.
-struct MergedStats {
-  uint64_t RulesEvaluated = 0;
-  uint64_t VisitsPerformed = 0;
-  uint64_t InstructionsExecuted = 0;
-
-  /// Trees that ran through a merged cohort vs the per-tree fallback.
-  uint64_t TreesMerged = 0;
-  uint64_t TreesFallback = 0;
-  /// Shape groups that ran merged, and pool work items executed for them.
-  uint64_t CohortsFormed = 0;
-  uint64_t ShardsExecuted = 0;
-
-  /// Histogram of *all* shape-group sizes (merged and fallen-back alike);
-  /// named buckets because CounterField addresses scalar members.
-  uint64_t CohortsLt4 = 0;
-  uint64_t CohortsLt16 = 0;
-  uint64_t CohortsLt64 = 0;
-  uint64_t CohortsLt256 = 0;
-  uint64_t CohortsLt1024 = 0;
-  uint64_t CohortsGe1024 = 0;
-
-  static std::span<const CounterField<MergedStats>> schema();
-  void reset() { statsReset(*this); }
-  void merge(const MergedStats &O) { statsMerge(*this, O); }
-  void exportTo(MetricsRegistry &R) const { statsExport(*this, R); }
-};
-
-/// One shared tree shape: everything the shadow walk needs, resolved once
-/// per cohort from the representative tree.
-struct CohortShape {
-  /// Level-order production sequence; Prods.size() positions.
-  std::vector<ProdId> Prods;
-  /// Son S of position P lives at FirstChild[P] + S (level-order BFS
-  /// guarantees contiguous child blocks).
-  std::vector<uint32_t> FirstChild;
-  /// Attribute + local slots per position.
-  std::vector<uint16_t> RealSlots;
-  /// RealSlots plus one lexeme pseudo-slot where the production reads its
-  /// lexeme (CompiledPlan::LexemeUsed), keeping the gather loop branch-free.
-  std::vector<uint16_t> LaneSlots;
-  /// Positions owning a lexeme pseudo-slot, prefilled before the walk.
-  std::vector<uint32_t> LexemePositions;
-};
-
-/// One cohort: a shape plus the member trees (batch indices) sharing it.
-struct Cohort {
-  CohortShape Shape;
-  std::vector<uint32_t> Members;
-};
-
-/// The result of cohort formation over one batch. level(I) is tree I's
-/// level-order node sequence (empty for rootless trees), alive only while
-/// the batch's trees are. All sequences share one flat buffer: per-tree
-/// vectors would cost an allocation per batch member, which dominates
-/// formation time on 100k-tree batches.
-///
-/// The walk also captures per-node execution context into LevelBuf-indexed
-/// side arrays while the node's cache lines are hot: frame and mask
-/// pointers (so scatter never chases node headers again) and lexeme values
-/// (so the pseudo-slot prefill reads a flat buffer). On batches larger
-/// than the cache this converts the shard loops' random dependent misses
-/// into the walk's sequential, prefetchable ones.
-struct CohortSet {
-  std::vector<Cohort> Cohorts;
-  /// Batch indices evaluated per-tree: members of sub-threshold shape
-  /// groups, plus rootless trees (whose diagnostic the classic Evaluator
-  /// already phrases correctly).
-  std::vector<uint32_t> Fallback;
-  /// Tree I's nodes occupy LevelBuf[LevelOff[I] .. LevelOff[I + 1]).
-  std::vector<TreeNode *> LevelBuf;
-  std::vector<uint32_t> LevelOff;
-  /// One node's walk-captured execution context. The computed-bit words
-  /// are not captured separately: FrameArena::allocFrame lays them out
-  /// directly after the Value run (static_assert'd there), so they are
-  /// Frame + NumSlots.
-  struct NodeCap {
-    /// The node's frame at walk time; null when not yet materialized
-    /// (scatter then allocates through the node).
-    Value *Frame = nullptr;
-    /// PartitionId if SeqCache was null, ~0 otherwise: scatter skips the
-    /// node-header stores when this already equals the partition it would
-    /// write, which keeps headers read-only on re-evaluated batches.
-    uintptr_t PartSeq = ~uintptr_t(0);
-  };
-  /// Walk-captured context, LevelBuf-indexed.
-  std::vector<NodeCap> CapBuf;
-  /// Lexeme values of lexeme-carrying nodes, level order; tree I's occupy
-  /// LexBuf[LexOff[I] .. LexOff[I + 1]). Copies, not pointers: the walk
-  /// copies while the node's lines are hot, so the shard prefill reads a
-  /// flat warm buffer instead of chasing cold node lines (measured faster
-  /// than pointer capture despite the string lexemes' refcount traffic).
-  std::vector<Value> LexBuf;
-  std::vector<uint32_t> LexOff;
-
-  std::span<TreeNode *const> level(size_t I) const {
-    return {LevelBuf.data() + LevelOff[I], LevelOff[I + 1] - LevelOff[I]};
-  }
-};
-
-/// Replaces the interpreted shadow walk of one cohort shard with an
-/// external implementation (the native backend's compiled SoA kernels,
-/// codegen/NativeMergedEvaluator). The merged engine still performs cohort
-/// formation, lane layout, lexeme and root-inherited prefill, the root
-/// sequence check and scatter-back; the kernel only runs the visit loop
-/// over the laid-out lanes. Implementations must be thread-safe: shards
-/// run concurrently on the pool with one run() call each.
-class CohortKernel {
-public:
-  virtual ~CohortKernel() = default;
-
-  /// Everything one shard hands the kernel. The arena is laid out for
-  /// (Shape, NumMembers) with lexeme pseudo-slots and root-inherited lanes
-  /// prefilled (their computed bits set); PartitionAt/Touched are
-  /// position-indexed with the root already marked; ArgBuf holds
-  /// MaxRuleArgs reusable values.
-  struct Shard {
-    const CohortShape &Shape;
-    unsigned NumMembers;
-    SoAFrameArena &Arena;
-    uint32_t *PartitionAt;
-    uint8_t *Touched;
-    Value *ArgBuf;
-  };
-
-  /// Runs every root visit over the shard. On failure returns false with
-  /// \p FailMsg phrased exactly like the interpreted engine's diagnostics.
-  /// Must fold the same per-member counters into \p WS that the
-  /// interpreted walk would (the differential suites pin equality).
-  virtual bool run(const Shard &S, MergedStats &WS, std::string &FailMsg) = 0;
-};
 
 /// Evaluates batches of trees of one grammar over a shared plan, merging
 /// same-shape trees into SoA cohorts.
 class MergedBatchEvaluator {
 public:
   /// Compiles the plan privately.
-  MergedBatchEvaluator(const EvaluationPlan &Plan, ThreadPool &Pool);
+  MergedBatchEvaluator(const EvaluationPlan &Plan, ThreadPool &Pool)
+      : S(Plan, Pool) {}
   /// Borrows an already-compiled plan (e.g. out of the artifact cache);
   /// \p Compiled must outlive the evaluator and match \p Plan.
   MergedBatchEvaluator(const EvaluationPlan &Plan, const CompiledPlan &Compiled,
-                       ThreadPool &Pool);
+                       ThreadPool &Pool)
+      : S(Plan, Compiled, Pool) {}
 
   /// Root inherited attributes applied to every tree of the batch.
-  void setRootInherited(AttrId A, Value V);
+  void setRootInherited(AttrId A, Value V) {
+    S.setRootInherited(A, std::move(V));
+  }
 
-  /// Shape groups smaller than this run the per-tree fallback. 1 merges
-  /// everything (singleton cohorts included).
-  void setCohortThreshold(unsigned T) { CohortThreshold = T == 0 ? 1 : T; }
-  unsigned cohortThreshold() const { return CohortThreshold; }
-
-  /// Upper bound on members per pool work item; smaller shards expose more
-  /// parallelism, larger ones amortize more setup.
-  void setShardMaxMembers(unsigned M) { ShardMaxMembers = M == 0 ? 1 : M; }
-  unsigned shardMaxMembers() const { return ShardMaxMembers; }
+  /// The session's formation knobs (see MergedBatchSession).
+  void setCohortThreshold(unsigned T) { S.setCohortThreshold(T); }
+  unsigned cohortThreshold() const { return S.cohortThreshold(); }
+  void setShardMaxMembers(unsigned M) { S.setShardMaxMembers(M); }
+  unsigned shardMaxMembers() const { return S.shardMaxMembers(); }
 
   /// Installs (or, with null, removes) a cohort kernel that replaces the
   /// interpreted visit loop of every merged shard. Borrowed: \p K must
   /// outlive the evaluator. The per-tree fallback path is unaffected.
-  void setKernel(CohortKernel *K) { Kernel = K; }
-  CohortKernel *kernel() const { return Kernel; }
+  void setKernel(CohortKernel *K) { S.setKernel(K); }
+  CohortKernel *kernel() const { return S.kernel(); }
 
   /// Groups \p Trees into cohorts without evaluating (exposed for the
-  /// cohort-formation unit tests; evaluate() calls it internally).
+  /// cohort-formation unit tests; evaluate() forms internally).
   /// Populates the formation counters of mergedStats().
   CohortSet formCohorts(std::vector<Tree> &Trees);
 
@@ -218,68 +68,12 @@ public:
   BatchResult evaluate(std::vector<Tree> &Trees);
 
   /// Counters of the most recent evaluate() (or formCohorts()) call.
-  const MergedStats &mergedStats() const { return Stats; }
+  const MergedStats &mergedStats() const { return S.mergedStats(); }
 
-  const CompiledPlan &compiled() const { return *CP; }
+  const CompiledPlan &compiled() const { return S.compiled(); }
 
 private:
-  /// The resident-batch session reuses formation, the shadow walk and
-  /// scatter-back without re-exporting them as API.
-  friend class MergedBatchSession;
-
-  /// Per-worker reusable buffers.
-  struct Scratch {
-    SoAFrameArena Arena;
-    std::vector<Value> ArgBuf;
-    std::vector<Value *> BasePtrs;
-    /// Per-member rows of level-order nodes: Rows[M][Pos].
-    std::vector<TreeNode *const *> Rows;
-    /// Per-member rows into the walk-captured side arrays (CohortSet::
-    /// CapBuf / LexBuf), same indexing as Rows.
-    std::vector<CohortSet::NodeCap *> CapRows;
-    std::vector<const Value *> LexRows;
-    /// Positions whose frames materialized (visited, written as a child
-    /// target, or the root); only they scatter frames back.
-    std::vector<uint8_t> Touched;
-    std::vector<uint32_t> PartitionAt;
-  };
-
-  bool runShard(const CohortShape &Shape, unsigned NumMembers, Scratch &S,
-                MergedStats &WS, std::string &FailMsg);
-  bool runMergedVisit(const CohortShape &Shape, size_t Pos,
-                      const CompiledSeq *Seq, unsigned VisitNo,
-                      unsigned NumMembers, Scratch &S, MergedStats &WS,
-                      std::string &FailMsg);
-  bool execMergedRule(const CohortShape &Shape, size_t Pos,
-                      const CompiledRule &R, unsigned NumMembers, Scratch &S,
-                      std::string &FailMsg);
-  void scatterShard(const CohortShape &Shape, unsigned NumMembers, Scratch &S);
-
-  const EvaluationPlan &Plan;
-  ThreadPool &Pool;
-  std::unique_ptr<const CompiledPlan> OwnedCP;
-  const CompiledPlan *CP;
-  MergedStats Stats;
-  std::vector<std::pair<AttrId, Value>> RootInh;
-  /// RootInh resolved to AttrId-indexed form at evaluate() entry.
-  std::vector<Value> RootInhVals;
-  std::vector<uint8_t> RootInhSet;
-  CohortKernel *Kernel = nullptr;
-  unsigned CohortThreshold = 4;
-  /// 256 balances lane-stride cache footprint against per-shard setup on
-  /// the batch_throughput merged-scaling sweep (512 ties, 1024 spills L2).
-  unsigned ShardMaxMembers = 256;
-  /// Emptied CohortSet whose buffer capacity survives across evaluate()
-  /// calls; repeated batches would otherwise re-grow tens of megabytes of
-  /// flat buffers every round. ProdScratch / HashScratch are formCohorts'
-  /// working arrays, kept for the same reason.
-  CohortSet Recycled;
-  std::vector<uint32_t> ProdScratch;
-  std::vector<uint64_t> HashScratch;
-  /// Per-worker scratch (lane arenas included), kept across evaluate()
-  /// calls: rebuilding the arenas would re-grow and re-fault megabytes of
-  /// lane storage on every batch.
-  std::vector<Scratch> Scratches;
+  MergedBatchSession S;
 };
 
 } // namespace fnc2

@@ -137,10 +137,28 @@ static Value evalBinary(const std::string &Op, const Value &L, const Value &R,
   return Value();
 }
 
-Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
-                     DiagnosticEngine &Diags) {
+namespace {
+
+/// Deepest evaluation nesting, in interpreter frames: one per expression
+/// level, so a molga call adds one per level of its body. Fuel bounds the
+/// work of a runaway recursion but not its stack: a frame measures about
+/// 290 bytes in a RelWithDebInfo build and about 4 KiB under ASan+UBSan,
+/// so this bound keeps the interpreter within 4 MiB of an 8 MiB thread
+/// stack even under ASan, far above the deepest recursion of any grammar
+/// in the repository (an indentation loop a few levels deep).
+constexpr unsigned kMaxEvalDepth = 1024;
+
+Value eval(const Expr &E, EvalContext &Ctx, DiagnosticEngine &Diags,
+           unsigned Depth) {
   if (Ctx.Fuel == 0) {
     Diags.error("evaluation fuel exhausted (runaway recursion?)", E.Loc);
+    return Value();
+  }
+  if (Depth == kMaxEvalDepth) {
+    Diags.error("evaluation nested deeper than " +
+                    std::to_string(kMaxEvalDepth) +
+                    " levels (runaway recursion?)",
+                E.Loc);
     return Value();
   }
   --Ctx.Fuel;
@@ -156,7 +174,7 @@ Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
     std::vector<Value> Elems;
     Elems.reserve(E.Children.size());
     for (const ExprPtr &C : E.Children)
-      Elems.push_back(evalExpr(*C, Ctx, Diags));
+      Elems.push_back(eval(*C, Ctx, Diags, Depth + 1));
     return Value::ofList(std::move(Elems));
   }
   case ExprKind::Lexeme:
@@ -181,7 +199,7 @@ Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
     return Value();
   }
   case ExprKind::Unary: {
-    Value V = evalExpr(*E.Children[0], Ctx, Diags);
+    Value V = eval(*E.Children[0], Ctx, Diags, Depth + 1);
     if (E.Name == "-" && V.isInt())
       return Value::ofInt(-V.asInt());
     if (E.Name == "not" && V.isBool())
@@ -193,7 +211,7 @@ Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
   case ExprKind::Binary: {
     // Short-circuit the boolean connectives.
     if (E.Name == "and" || E.Name == "or") {
-      Value L = evalExpr(*E.Children[0], Ctx, Diags);
+      Value L = eval(*E.Children[0], Ctx, Diags, Depth + 1);
       if (!L.isBool()) {
         Diags.error("'" + E.Name + "' needs boolean operands", E.Loc);
         return Value();
@@ -202,24 +220,24 @@ Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
         return Value::ofBool(false);
       if (E.Name == "or" && L.asBool())
         return Value::ofBool(true);
-      return evalExpr(*E.Children[1], Ctx, Diags);
+      return eval(*E.Children[1], Ctx, Diags, Depth + 1);
     }
-    Value L = evalExpr(*E.Children[0], Ctx, Diags);
-    Value R = evalExpr(*E.Children[1], Ctx, Diags);
+    Value L = eval(*E.Children[0], Ctx, Diags, Depth + 1);
+    Value R = eval(*E.Children[1], Ctx, Diags, Depth + 1);
     return evalBinary(E.Name, L, R, E.Loc, Diags);
   }
   case ExprKind::If: {
-    Value C = evalExpr(*E.Children[0], Ctx, Diags);
+    Value C = eval(*E.Children[0], Ctx, Diags, Depth + 1);
     if (!C.isBool()) {
       Diags.error("condition is not boolean", E.Loc);
       return Value();
     }
-    return evalExpr(*E.Children[C.asBool() ? 1 : 2], Ctx, Diags);
+    return eval(*E.Children[C.asBool() ? 1 : 2], Ctx, Diags, Depth + 1);
   }
   case ExprKind::Let: {
-    Value Bound = evalExpr(*E.Children[0], Ctx, Diags);
+    Value Bound = eval(*E.Children[0], Ctx, Diags, Depth + 1);
     Ctx.Bindings.emplace_back(E.Name, std::move(Bound));
-    Value Result = evalExpr(*E.Children[1], Ctx, Diags);
+    Value Result = eval(*E.Children[1], Ctx, Diags, Depth + 1);
     Ctx.Bindings.pop_back();
     return Result;
   }
@@ -227,7 +245,7 @@ Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
     std::vector<Value> Args;
     Args.reserve(E.Children.size());
     for (const ExprPtr &C : E.Children)
-      Args.push_back(evalExpr(*C, Ctx, Diags));
+      Args.push_back(eval(*C, Ctx, Diags, Depth + 1));
     Value Result;
     if (applyBuiltin(E.Name, Args, Result))
       return Result;
@@ -246,7 +264,7 @@ Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
         for (size_t I = 0; I != Args.size(); ++I)
           Callee.Bindings.emplace_back(F.Params[I].first,
                                        std::move(Args[I]));
-        Value Result2 = evalExpr(*F.Body, Callee, Diags);
+        Value Result2 = eval(*F.Body, Callee, Diags, Depth + 1);
         Ctx.Fuel = Callee.Fuel;
         return Result2;
       }
@@ -255,7 +273,7 @@ Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
     return Value();
   }
   case ExprKind::Match: {
-    Value Scrut = evalExpr(*E.Children[0], Ctx, Diags);
+    Value Scrut = eval(*E.Children[0], Ctx, Diags, Depth + 1);
     for (const MatchArm &Arm : E.Arms) {
       bool Hit = false;
       switch (Arm.Kind) {
@@ -277,15 +295,22 @@ Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
         continue;
       if (Arm.Kind == MatchArm::PatKind::Bind) {
         Ctx.Bindings.emplace_back(Arm.Text, Scrut);
-        Value Result = evalExpr(*Arm.Body, Ctx, Diags);
+        Value Result = eval(*Arm.Body, Ctx, Diags, Depth + 1);
         Ctx.Bindings.pop_back();
         return Result;
       }
-      return evalExpr(*Arm.Body, Ctx, Diags);
+      return eval(*Arm.Body, Ctx, Diags, Depth + 1);
     }
     Diags.error("non-exhaustive match at run time", E.Loc);
     return Value();
   }
   }
   return Value();
+}
+
+} // namespace
+
+Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
+                     DiagnosticEngine &Diags) {
+  return eval(E, Ctx, Diags, 0);
 }

@@ -37,7 +37,10 @@ struct EvalContext {
 };
 
 /// Evaluates \p E under \p Ctx. On a runtime error (which type checking
-/// should preclude) reports through \p Diags and returns unit.
+/// should preclude) reports through \p Diags and returns unit; so does an
+/// evaluation nested deeper than a fixed bound (1024 interpreter frames),
+/// which keeps a runaway recursion from overflowing the stack before its
+/// fuel runs out.
 Value evalExpr(const Expr &E, EvalContext &Ctx, DiagnosticEngine &Diags);
 
 /// Applies a named builtin to argument values (shared with the constant

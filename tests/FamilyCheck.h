@@ -329,7 +329,9 @@ inline void runNativeMerged(const EngineContext &C) {
     Batch.push_back(cloneTree(C.AG, T));
     Batch.push_back(cloneTree(C.AG, T));
   }
-  NativeMergedEvaluator NM(C.GE.Plan, CP, B.Module, C.Pool);
+  NativeCohortKernel K(CP, B.Module);
+  MergedBatchEvaluator NM(C.GE.Plan, CP, C.Pool);
+  NM.setKernel(&K);
   NM.setCohortThreshold(1);
   provideRootInherited(C.AG, NM);
   BatchResult R = NM.evaluate(Batch);

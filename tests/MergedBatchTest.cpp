@@ -4,8 +4,9 @@
 // walk, cohort formation (shape grouping, threshold fallback, empty /
 // singleton / rootless inputs), merged-vs-sequential differentials over the
 // classics and the SpecGen system suite, a seeded 10k-mixed-shape fuzz run,
-// and cohort-wide failure diagnostics. The engine also rides along in every
-// suite that calls testutil::runFamily() via the engine registry.
+// cohort-wide failure diagnostics, and the resident session's recovery
+// from a failed round. The engine also rides along in every suite that
+// calls testutil::runFamily() via the engine registry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -461,6 +462,114 @@ TEST(MergedBatchTest, FailingCohortMatchesSequentialDiagnostics) {
   for (const Tree &T : Trees)
     EXPECT_EQ(T.root()->attrVal(AG.attr(S).IndexInOwner).asInt(), 5);
   EXPECT_EQ(ME.mergedStats().TreesMerged, Trees.size());
+}
+
+TEST(MergedBatchSessionTest, UnsetRootInheritedFailsThenRecovers) {
+  // The resident session's failure-then-recovery path: with the start
+  // phylum's inherited attribute unset, every tree of a mixed batch (two
+  // cohorts plus per-tree fallbacks) fails with the sequential engine's
+  // diagnostic and cohort trees are reset; setting the attribute must make
+  // the next round refill the root lanes and succeed.
+  DiagnosticEngine Diags;
+  GrammarBuilder B("chain-input");
+  PhylumId X = B.phylum("X");
+  AttrId H = B.inherited(X, "h", "int");
+  AttrId S = B.synthesized(X, "s", "int");
+  ProdId Leaf = B.production("Leaf", X, {});
+  B.copy(Leaf, AttrOcc::onSymbol(0, S), AttrOcc::onSymbol(0, H));
+  ProdId Pair = B.production("Pair", X, {X, X});
+  B.copy(Pair, AttrOcc::onSymbol(1, H), AttrOcc::onSymbol(0, H));
+  B.copy(Pair, AttrOcc::onSymbol(2, H), AttrOcc::onSymbol(1, S));
+  B.copy(Pair, AttrOcc::onSymbol(0, S), AttrOcc::onSymbol(2, S));
+  B.setStart(X);
+  AttributeGrammar AG = B.finalize(Diags);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
+  DiagnosticEngine GD;
+  GeneratedEvaluator GE = generateEvaluator(AG, GD);
+  ASSERT_TRUE(GE.Success) << GD.dump();
+
+  // Two shapes of five trees each merge (threshold 4); the two shapes of
+  // one or two trees fall back.
+  const std::pair<const char *, unsigned> Terms[] = {
+      {"Leaf", 5},
+      {"Pair(Leaf, Pair(Leaf, Leaf))", 5},
+      {"Pair(Leaf, Leaf)", 2},
+      {"Pair(Pair(Leaf, Leaf), Leaf)", 1}};
+  std::vector<Tree> Trees;
+  std::vector<bool> Merged;
+  for (const auto &[Term, Count] : Terms)
+    for (unsigned I = 0; I != Count; ++I) {
+      DiagnosticEngine D;
+      Trees.push_back(readTerm(AG, Term, D));
+      ASSERT_FALSE(D.hasErrors()) << D.dump();
+      Merged.push_back(Count >= 4);
+    }
+
+  // The sequential diagnostic: a fallback failure carries its dump, a
+  // cohort failure its one message.
+  DiagnosticEngine SD;
+  Tree SeqTree = readTerm(AG, "Leaf", SD);
+  Evaluator SE(GE.Plan);
+  ASSERT_FALSE(SE.evaluate(SeqTree, SD));
+  ASSERT_EQ(SD.diagnostics().size(), 1u);
+  const std::string SeqDump = SD.dump();
+  const std::string SeqMsg = SD.diagnostics().front().Message;
+
+  // Attribute every tree first (sequentially, with the input given), so
+  // that the failed round's reset is observable.
+  const unsigned SSlot = AG.attr(S).IndexInOwner;
+  for (Tree &T : Trees) {
+    Evaluator E(GE.Plan);
+    E.setRootInherited(H, Value::ofInt(3));
+    DiagnosticEngine D;
+    ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
+    ASSERT_TRUE(T.root()->attrComputed(SSlot));
+  }
+
+  ThreadPool Pool(2);
+  MergedBatchSession Session(GE.Plan, Pool);
+  Session.bind(Trees);
+  EXPECT_EQ(Session.mergedStats().TreesMerged, 10u);
+  EXPECT_EQ(Session.mergedStats().TreesFallback, 3u);
+
+  SessionResult Fail = Session.evaluate();
+  EXPECT_EQ(Fail.NumSucceeded, 0u);
+  ASSERT_EQ(Fail.Failures.size(), Trees.size());
+  for (const auto &[Idx, Msg] : Fail.Failures) {
+    EXPECT_FALSE(Session.succeeded(Idx));
+    EXPECT_EQ(Msg, Merged[Idx] ? SeqMsg : SeqDump) << "tree " << Idx;
+  }
+  EXPECT_EQ(Session.mergedStats().VisitsPerformed, 0u);
+  EXPECT_EQ(Session.mergedStats().RulesEvaluated, 0u);
+  // Failed trees are reset: none keeps its earlier attribute.
+  for (const Tree &T : Trees)
+    EXPECT_FALSE(T.root()->attrComputed(SSlot));
+  Session.flush(); // Scatters nothing from failed shards.
+  for (const Tree &T : Trees)
+    EXPECT_FALSE(T.root()->attrComputed(SSlot));
+
+  Session.setRootInherited(H, Value::ofInt(5));
+  SessionResult Ok = Session.evaluate();
+  ASSERT_TRUE(Ok.allSucceeded())
+      << (Ok.Failures.empty() ? "" : Ok.Failures[0].second);
+  for (size_t I = 0; I != Trees.size(); ++I)
+    EXPECT_EQ(Session.rootSlot(I, SSlot).asInt(), 5);
+  Session.flush();
+
+  EvalStats RefStats;
+  for (size_t I = 0; I != Trees.size(); ++I) {
+    Tree Ref = cloneTree(AG, Trees[I]);
+    Evaluator E(GE.Plan);
+    E.setRootInherited(H, Value::ofInt(5));
+    DiagnosticEngine D;
+    ASSERT_TRUE(E.evaluate(Ref, D)) << D.dump();
+    RefStats.merge(E.stats());
+    expectSameAttribution(AG, Ref.root(), Trees[I].root(),
+                          "recovered tree " + std::to_string(I));
+  }
+  EXPECT_EQ(Ok.Stats.RulesEvaluated, RefStats.RulesEvaluated);
+  EXPECT_EQ(Ok.Stats.VisitsPerformed, RefStats.VisitsPerformed);
+  EXPECT_EQ(Ok.Stats.InstructionsExecuted, RefStats.InstructionsExecuted);
 }
 
 //===----------------------------------------------------------------------===//

@@ -198,7 +198,9 @@ TEST(NativeMergedTest, WarmStartBindsBothEntryPointsWithoutCompiler) {
   // Both engines evaluate through the warm-bound object.
   ThreadPool Pool(2);
   std::vector<Tree> Batch = mixedBatch(F.AG, 2, 5, 0, 77);
-  NativeMergedEvaluator NM(F.GE.Plan, F.CP, W.Module, Pool);
+  NativeCohortKernel K(F.CP, W.Module);
+  MergedBatchEvaluator NM(F.GE.Plan, F.CP, Pool);
+  NM.setKernel(&K);
   provideRootInherited(F.AG, NM);
   BatchResult R = NM.evaluate(Batch);
   ASSERT_TRUE(R.allSucceeded()) << R.Outcomes[0].Diags.dump();
@@ -236,7 +238,9 @@ TEST(NativeMergedTest, MatchesInterpretedMergedEngine) {
   BatchResult RRef = ME.evaluate(Ref);
   ASSERT_TRUE(RRef.allSucceeded()) << RRef.Outcomes[0].Diags.dump();
 
-  NativeMergedEvaluator NM(F.GE.Plan, F.CP, B.Module, Pool);
+  NativeCohortKernel K(F.CP, B.Module);
+  MergedBatchEvaluator NM(F.GE.Plan, F.CP, Pool);
+  NM.setKernel(&K);
   provideRootInherited(F.AG, NM);
   BatchResult RGot = NM.evaluate(Got);
   ASSERT_TRUE(RGot.allSucceeded()) << RGot.Outcomes[0].Diags.dump();
@@ -281,18 +285,39 @@ std::vector<TreeNode *> lexemeNodes(Tree &T) {
   return Out;
 }
 
+/// The sequential reference: one Evaluator per tree of \p Trees, root
+/// inherited attributes set to \p RootInh; \p Total sums their counters.
+bool evaluatePerTree(const DeskFixture &F, std::vector<Tree> &Trees,
+                     EvalStats &Total, int64_t RootInh = 7) {
+  for (Tree &T : Trees) {
+    Evaluator E(F.GE.Plan, F.CP);
+    for (AttrId A : F.AG.phylum(F.AG.Start).Attrs)
+      if (F.AG.attr(A).isInherited())
+        E.setRootInherited(A, Value::ofInt(RootInh));
+    DiagnosticEngine D;
+    if (!E.evaluate(T, D)) {
+      ADD_FAILURE() << "sequential reference failed: " << D.dump();
+      return false;
+    }
+    Total.merge(E.stats());
+  }
+  return true;
+}
+
 TEST(MergedBatchSessionTest, FlushedAttributionMatchesMergedEngine) {
   DeskFixture F;
   ThreadPool Pool(4);
-  std::vector<Tree> Ref = mixedBatch(F.AG, 3, 8, 5, 42);
+  constexpr unsigned Shapes = 3, Clones = 8, Uniques = 5;
+  std::vector<Tree> Ref = mixedBatch(F.AG, Shapes, Clones, Uniques, 42);
   std::vector<Tree> Got;
   for (const Tree &T : Ref)
     Got.push_back(cloneTree(F.AG, T));
 
-  MergedBatchEvaluator ME(F.GE.Plan, F.CP, Pool);
-  provideRootInherited(F.AG, ME);
-  BatchResult RRef = ME.evaluate(Ref);
-  ASSERT_TRUE(RRef.allSucceeded()) << RRef.Outcomes[0].Diags.dump();
+  // The oracle is the per-tree sequential engine, not the one-shot merged
+  // engine: that one runs this very session, so it would agree with it
+  // by construction.
+  EvalStats A;
+  ASSERT_TRUE(evaluatePerTree(F, Ref, A));
 
   MergedBatchSession S(F.GE.Plan, F.CP, Pool);
   provideRootInherited(F.AG, S);
@@ -301,11 +326,11 @@ TEST(MergedBatchSessionTest, FlushedAttributionMatchesMergedEngine) {
   ASSERT_TRUE(RGot.allSucceeded())
       << (RGot.Failures.empty() ? "" : RGot.Failures[0].second);
 
-  // Same dynamic counters as the one-shot merged engine.
-  const MergedStats &A = ME.mergedStats();
+  // Every clone merges (threshold 4), every unique tree falls back, and the
+  // dynamic counters fold to the sequential per-tree sums.
   const MergedStats &B = S.mergedStats();
-  EXPECT_EQ(B.TreesMerged, A.TreesMerged);
-  EXPECT_EQ(B.TreesFallback, A.TreesFallback);
+  EXPECT_EQ(B.TreesMerged, Shapes * Clones);
+  EXPECT_EQ(B.TreesFallback, Uniques);
   EXPECT_GT(B.TreesFallback, 0u) << "batch exercised no fallback";
   EXPECT_EQ(B.RulesEvaluated, A.RulesEvaluated);
   EXPECT_EQ(B.VisitsPerformed, A.VisitsPerformed);
@@ -319,7 +344,7 @@ TEST(MergedBatchSessionTest, FlushedAttributionMatchesMergedEngine) {
   S.flush();
   for (size_t I = 0; I != Got.size(); ++I) {
     expectSameAttribution(F.AG, Ref[I].root(), Got[I].root(),
-                          "session/vs-merged");
+                          "session/vs-sequential");
     EXPECT_TRUE(RootAttr0[I].equals(Got[I].root()->slot(0)))
         << "rootSlot drifted from the flushed frame, tree " << I;
   }
@@ -346,8 +371,8 @@ TEST(MergedBatchSessionTest, LeafAndRootInputChangesPropagateAcrossRounds) {
   ASSERT_TRUE(S.evaluate().allSucceeded());
 
   // Round 2: new leaf data and new root inputs on pinned structure. The
-  // session must re-read both; a fresh merged evaluation of identically
-  // mutated trees is the oracle.
+  // session must re-read both; a fresh per-tree sequential evaluation of
+  // identically mutated trees is the oracle.
   for (std::vector<Tree> *Batch : {&Ref, &Got})
     for (Tree &T : *Batch)
       for (TreeNode *N : lexemeNodes(T))
@@ -361,12 +386,11 @@ TEST(MergedBatchSessionTest, LeafAndRootInputChangesPropagateAcrossRounds) {
   ASSERT_TRUE(R2.allSucceeded());
   S.flush();
 
-  MergedBatchEvaluator ME(F.GE.Plan, F.CP, Pool);
-  for (AttrId A : F.AG.phylum(F.AG.Start).Attrs)
-    if (F.AG.attr(A).isInherited())
-      ME.setRootInherited(A, Value::ofInt(11));
-  BatchResult RRef = ME.evaluate(Ref);
-  ASSERT_TRUE(RRef.allSucceeded()) << RRef.Outcomes[0].Diags.dump();
+  EvalStats RefStats;
+  ASSERT_TRUE(evaluatePerTree(F, Ref, RefStats, 11));
+  EXPECT_EQ(R2.Stats.RulesEvaluated, RefStats.RulesEvaluated);
+  EXPECT_EQ(R2.Stats.VisitsPerformed, RefStats.VisitsPerformed);
+  EXPECT_EQ(R2.Stats.InstructionsExecuted, RefStats.InstructionsExecuted);
 
   for (size_t I = 0; I != Got.size(); ++I)
     expectSameAttribution(F.AG, Ref[I].root(), Got[I].root(),
@@ -438,7 +462,9 @@ TEST(NativeMergedConcurrencyTest, ConcurrentEvaluatorsShareOneSoaModule) {
       // dlopen()ed module (code, PlanInfo, bound constants) is shared and
       // read-only. Threshold 1 forces every tree through the SoA kernels.
       ThreadPool Pool(2);
-      NativeMergedEvaluator NM(F.GE.Plan, F.CP, B.Module, Pool);
+      NativeCohortKernel K(F.CP, B.Module);
+      MergedBatchEvaluator NM(F.GE.Plan, F.CP, Pool);
+      NM.setKernel(&K);
       NM.setCohortThreshold(1);
       provideRootInherited(F.AG, NM);
       std::vector<Tree> Batch = mixedBatch(F.AG, 2, 6, 0, 100 + I);

@@ -485,7 +485,9 @@ TEST(ExprEvalTest, FuelStopsRunawayRecursion) {
   ASSERT_TRUE(R.Success) << D.dump();
   EvalContext Ctx;
   Ctx.Prog = R.Prog.get();
-  Ctx.Fuel = 10000;
+  // 2000 steps are 500 call levels, inside the interpreter's depth bound,
+  // so the fuel runs out first.
+  Ctx.Fuel = 2000;
   Expr Call;
   Call.Kind = ExprKind::Call;
   Call.Name = "loop";
@@ -496,6 +498,45 @@ TEST(ExprEvalTest, FuelStopsRunawayRecursion) {
   evalExpr(Call, Ctx, ED);
   EXPECT_TRUE(ED.hasErrors());
   EXPECT_NE(ED.dump().find("fuel"), std::string::npos);
+}
+
+// With the default fuel a runaway recursion would nest about 260k frames
+// deep and overflow the stack; the depth bound stops it first.
+TEST(ExprEvalTest, DepthBoundStopsRecursionAtDefaultFuel) {
+  DiagnosticEngine D;
+  CompileResult R = compileMolga(
+      "module M fun loop(n: int): int = loop(n + 1) "
+      "fun down(n: int): int = if n <= 0 then 0 else 1 + down(n - 1) end",
+      D);
+  ASSERT_TRUE(R.Success) << D.dump();
+  auto CallWith = [](const char *Fn, int64_t N) {
+    Expr Call;
+    Call.Kind = ExprKind::Call;
+    Call.Name = Fn;
+    auto Arg = std::make_unique<Expr>();
+    Arg->Kind = ExprKind::IntLit;
+    Arg->IntValue = N;
+    Call.Children.push_back(std::move(Arg));
+    return Call;
+  };
+  for (const char *Fn : {"loop", "down"}) {
+    EvalContext Ctx;
+    Ctx.Prog = R.Prog.get();
+    DiagnosticEngine ED;
+    evalExpr(CallWith(Fn, 1000000), Ctx, ED);
+    ASSERT_TRUE(ED.hasErrors()) << Fn;
+    EXPECT_NE(ED.diagnostics().front().Message.find("nested deeper than"),
+              std::string::npos)
+        << Fn << ": " << ED.dump();
+    EXPECT_GT(Ctx.Fuel, 0u) << Fn << ": the depth bound, not fuel, stopped it";
+  }
+  // A shallow recursion is untouched.
+  EvalContext Ctx;
+  Ctx.Prog = R.Prog.get();
+  DiagnosticEngine ED;
+  Value V = evalExpr(CallWith("down", 300), Ctx, ED);
+  EXPECT_FALSE(ED.hasErrors()) << ED.dump();
+  EXPECT_EQ(V.asInt(), 300);
 }
 
 TEST(DriverTest, WellDefinednessCaught) {

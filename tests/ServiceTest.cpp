@@ -600,6 +600,46 @@ TEST(ServiceDaemon, EvaluateRejectsOutOfRangeLexeme) {
   EXPECT_EQ(D.stats().TreesEvaluated.load(), 0u);
 }
 
+// A registered grammar whose function recurses without end: the molga
+// interpreter's depth bound ends the evaluation instead of the stack, and
+// the daemon keeps answering.
+TEST(ServiceDaemon, RunawayRecursionInAGrammarIsAnswered) {
+  const std::string Src = R"(
+module Deep
+  fun down(n: int): int = if n <= 0 then 0 else 1 + down(n - 1)
+end
+grammar Deep
+  import Deep
+  phylum Top root
+  attr Top syn v : int
+  operator Num() -> Top lexeme int
+  rules for Num
+    Top.v := down(lexeme)
+  end
+end
+)";
+  Daemon D;
+  uint64_t Key = registerGrammar(D, Src);
+  ASSERT_NE(Key, 0u);
+
+  Request Ev;
+  Ev.Kind = RequestKind::Evaluate;
+  Ev.Id = 4;
+  Ev.GrammarKey = Key;
+  Ev.Terms = {"Num<1000000>"};
+  Response Deep = D.execute(Ev);
+  EXPECT_EQ(Deep.Id, 4u);
+  EXPECT_TRUE(Deep.St == Status::Ok || Deep.St == Status::Error);
+
+  Ev.Id = 5;
+  Ev.Terms = {"Num<25>"};
+  Response Shallow = D.execute(Ev);
+  ASSERT_TRUE(Shallow.ok()) << Shallow.Error;
+  EXPECT_EQ(Shallow.Id, 5u);
+  ASSERT_EQ(Shallow.Attrs.size(), 1u);
+  EXPECT_EQ(Shallow.Attrs[0].second.asInt(), 25);
+}
+
 TEST(ServiceDaemon, BatchMergedAgreesWithSequential) {
   DiagnosticEngine GD;
   AttributeGrammar AG = workloads::deskCalculator(GD);
