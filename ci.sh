@@ -55,7 +55,9 @@
 #      runs here so the term reader's integer lexemes are checked for
 #      signed overflow at the int64 bounds; the molga interpreter suite runs
 #      here so its depth bound is shown to stop a runaway recursion within
-#      the stack even with ASan's larger frames.
+#      the stack. The bound is sized for optimized frames (about 2.3 MiB
+#      at the bound); ASan's frames are about 14x larger, so this step runs
+#      with a 64 MiB stack limit.
 #   5. ThreadSanitizer build (-DFNC2_SANITIZE=thread) + the concurrency,
 #      differential, interning, trace, oracle, parallel-cascade,
 #      artifact-cache, multi-session and native-backend race tests, which
@@ -150,8 +152,9 @@ cmake --build "$SRC/build-asan" -j "$JOBS" \
                merged_batch_test native_backend_test native_merged_test \
                service_test service_soak_test storage_test olga_test \
                grammar_test tree_test
-ctest --test-dir "$SRC/build-asan" --output-on-failure -j "$JOBS" \
-      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|ExprEval'
+(ulimit -s 65536 &&
+ ctest --test-dir "$SRC/build-asan" --output-on-failure -j "$JOBS" \
+      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|ExprEval')
 
 echo "== [5/5] ThreadSanitizer build + race gate =="
 cmake -B "$SRC/build-tsan" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

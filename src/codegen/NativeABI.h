@@ -104,7 +104,7 @@ using RunFn = bool (*)(TreeNode *Root, RunCtx *Ctx);
 //
 // The second entry point, emitted by codegen/SoAEmitter: one call runs a
 // whole cohort of same-shape trees, every instruction executed as a member
-// loop over the contiguous attribute lanes of eval/MergedBatchEvaluator's
+// loop over the contiguous attribute lanes of eval/MergedBatchSession's
 // SoAFrameArena. The host builds one SoaPos per tree position (level
 // order, matching the cohort shape) and hands lane bases; slot S of
 // position P lives at P.Lane0 + S * Ctx->NumMembers, member-contiguous.

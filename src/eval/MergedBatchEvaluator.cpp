@@ -17,7 +17,8 @@ BatchResult MergedBatchEvaluator::evaluate(std::vector<Tree> &Trees) {
   BatchResult Result;
   Result.Outcomes.resize(Trees.size());
   S.bind(Trees);
-  const SessionResult R = S.run(&Result.Outcomes); // Scatters as it goes.
+  const SessionResult R = S.run(&Result.Outcomes);
+  S.flush();
   S.release();
 
   size_t I = 0;

@@ -7,10 +7,9 @@
 /// \file
 /// The one-shot entry point of the shape-merged batch pipeline
 /// (eval/MergedBatchSession.h): evaluate() binds the trees to a private
-/// session, runs one evaluation that scatters each cohort shard's
-/// attribution into the trees as soon as the shard finishes, and releases
-/// the trees, answering with the per-tree BatchResult the other batch
-/// engines give. The session's lane arenas and flat buffers survive
+/// session, runs one evaluation, flushes the attribution into the trees
+/// and releases them, answering with the per-tree BatchResult the other
+/// batch engines give. The session's lane arenas and flat buffers survive
 /// from call to call, so evaluating a batch every round re-faults no lane
 /// storage; no pointer to the trees survives a call.
 ///

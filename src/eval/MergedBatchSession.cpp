@@ -497,7 +497,7 @@ void MergedBatchSession::bind(std::vector<Tree> &Trees) {
   }
 }
 
-SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *OneShot) {
+SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *Outcomes) {
   FNC2_SPAN("session.evaluate");
   assert(Batch && "evaluate() before bind()");
   std::vector<Tree> &Trees = *Batch;
@@ -524,10 +524,10 @@ SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *OneShot) {
         for (const auto &[Attr, Val] : RootInh)
           E.setRootInherited(Attr, Val);
         DiagnosticEngine Own;
-        DiagnosticEngine &D = OneShot ? (*OneShot)[Idx].Diags : Own;
+        DiagnosticEngine &D = Outcomes ? (*Outcomes)[Idx].Diags : Own;
         if (!E.evaluate(Trees[Idx], D)) {
           TreeOk[Idx] = 0;
-          if (!OneShot)
+          if (!Outcomes)
             WorkerFails[Worker].emplace_back(Idx, D.dump());
         }
         WS.RulesEvaluated += E.stats().RulesEvaluated;
@@ -615,8 +615,6 @@ SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *OneShot) {
     }
 
     S.Ok = Ok;
-    if (Ok && OneShot)
-      scatterShard(Shape, NumMembers, S); // While the lanes are in cache.
     if (!Ok) {
       // Shape-determined failure: every member fails at the same
       // instruction with the same diagnostic. Unlike the sequential
@@ -624,8 +622,8 @@ SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *OneShot) {
       for (unsigned M = 0; M != NumMembers; ++M) {
         const uint32_t Idx = C.Members[X.Begin + M];
         TreeOk[Idx] = 0;
-        if (OneShot)
-          (*OneShot)[Idx].Diags.error(FailMsg);
+        if (Outcomes)
+          (*Outcomes)[Idx].Diags.error(FailMsg);
         else
           WorkerFails[Worker].emplace_back(Idx, FailMsg);
         Trees[Idx].resetAttributes();
@@ -648,11 +646,10 @@ SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *OneShot) {
       Result.Failures.push_back(std::move(F));
   // Any failure keeps the refill (and its diagnostics) live for the next
   // round; failures are shape-deterministic, so this costs nothing on the
-  // all-success steady state. A one-shot round has scattered already,
-  // which moved the lanes out just as flush() does.
+  // all-success steady state.
   LanesLaidOut = true;
-  RootLanesValid = !OneShot && Result.allSucceeded();
-  Evaluated = !OneShot;
+  RootLanesValid = Result.allSucceeded();
+  Evaluated = true;
   return Result;
 }
 

@@ -43,11 +43,9 @@
 /// over the same shared plan) each round, writing their trees directly.
 ///
 /// MergedBatchEvaluator (eval/MergedBatchEvaluator.h) is the one-shot entry
-/// point: bind → evaluate → flush per call over the same session, with
-/// each shard's lane layout, evaluation and scatter done in one work item
-/// so its lanes stay in cache. A rebind reuses the previous binding's lane
-/// arenas and flat buffers, so calling it every round does not re-fault
-/// lane storage.
+/// point: bind → evaluate → flush per call over the same session. A rebind
+/// reuses the previous binding's lane arenas and flat buffers, so calling
+/// it every round does not re-fault lane storage.
 ///
 /// Because every member of a cohort executes the identical instruction
 /// stream, plan-level failures (missing visit sequence, rule without a
@@ -303,7 +301,8 @@ private:
     uint32_t Begin, End;
   };
 
-  /// One cohort shard's resident state, laid out at bind.
+  /// One cohort shard's resident state: bound at bind, its arena laid out
+  /// by the first evaluation.
   struct Shard {
     SoAFrameArena Arena;
     std::vector<Value> ArgBuf;
@@ -328,13 +327,11 @@ private:
   /// Groups \p Trees into \p Set (its buffers' capacity reused) and resets
   /// Stats to the formation counters.
   void form(std::vector<Tree> &Trees, CohortSet &Set);
-  /// One evaluation round over the bound batch. With \p OneShot (the
+  /// One evaluation round over the bound batch. With \p Outcomes (the
   /// one-shot engine's BatchResult outcomes), each failed tree's
-  /// diagnostics go to its outcome and each successful shard scatters as
-  /// soon as its visits finish, while its lanes are still in cache;
-  /// otherwise failures go into SessionResult::Failures and flush()
-  /// scatters.
-  SessionResult run(std::deque<BatchTreeOutcome> *OneShot);
+  /// diagnostics go to its outcome; otherwise they go into
+  /// SessionResult::Failures.
+  SessionResult run(std::deque<BatchTreeOutcome> *Outcomes);
   /// Drops every pointer into the bound trees; capacity is kept.
   void release();
 

@@ -140,26 +140,33 @@ static Value evalBinary(const std::string &Op, const Value &L, const Value &R,
 namespace {
 
 /// Deepest evaluation nesting, in interpreter frames: one per expression
-/// level, so a molga call adds one per level of its body. Fuel bounds the
-/// work of a runaway recursion but not its stack: a frame measures about
-/// 290 bytes in a RelWithDebInfo build and about 4 KiB under ASan+UBSan,
-/// so this bound keeps the interpreter within 4 MiB of an 8 MiB thread
-/// stack even under ASan, far above the deepest recursion of any grammar
-/// in the repository (an indentation loop a few levels deep).
-constexpr unsigned kMaxEvalDepth = 1024;
+/// level, so a molga call adds one per level of its body (three for
+/// `1 + f(n - 1)` under an if). Fuel bounds the work of a runaway
+/// recursion but not its stack. Sized for the optimized build: a frame
+/// measures 288 bytes there (352 under TSan), so the bound holds the
+/// interpreter to about 2.3 MiB of an 8 MiB thread stack while admitting a
+/// non-tail recursion some 2700 calls deep. ASan's use-after-scope
+/// redzones grow a frame to about 4 KiB (32 MiB at the bound), so ASan runs
+/// need a larger stack (ci.sh raises the limit for its ASan step).
+constexpr unsigned kMaxEvalDepth = 8192;
+
+/// Unwinds a whole evaluation once its fuel or depth bound is hit, after
+/// the one diagnostic is reported: the pending outer steps would otherwise
+/// each report their own exhaustion or a type error on the unit result.
+struct Abort {};
 
 Value eval(const Expr &E, EvalContext &Ctx, DiagnosticEngine &Diags,
            unsigned Depth) {
   if (Ctx.Fuel == 0) {
     Diags.error("evaluation fuel exhausted (runaway recursion?)", E.Loc);
-    return Value();
+    throw Abort();
   }
   if (Depth == kMaxEvalDepth) {
     Diags.error("evaluation nested deeper than " +
                     std::to_string(kMaxEvalDepth) +
                     " levels (runaway recursion?)",
                 E.Loc);
-    return Value();
+    throw Abort();
   }
   --Ctx.Fuel;
 
@@ -312,5 +319,12 @@ Value eval(const Expr &E, EvalContext &Ctx, DiagnosticEngine &Diags,
 
 Value olga::evalExpr(const Expr &E, EvalContext &Ctx,
                      DiagnosticEngine &Diags) {
-  return eval(E, Ctx, Diags, 0);
+  const size_t NumBindings = Ctx.Bindings.size();
+  try {
+    return eval(E, Ctx, Diags, 0);
+  } catch (const Abort &) {
+    Ctx.Bindings.erase(Ctx.Bindings.begin() + NumBindings,
+                       Ctx.Bindings.end());
+    return Value();
+  }
 }

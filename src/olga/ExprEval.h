@@ -37,10 +37,11 @@ struct EvalContext {
 };
 
 /// Evaluates \p E under \p Ctx. On a runtime error (which type checking
-/// should preclude) reports through \p Diags and returns unit; so does an
-/// evaluation nested deeper than a fixed bound (1024 interpreter frames),
+/// should preclude) reports through \p Diags and returns unit. Running out
+/// of fuel, or nesting deeper than a fixed bound (8192 interpreter frames,
 /// which keeps a runaway recursion from overflowing the stack before its
-/// fuel runs out.
+/// fuel runs out), stops the whole evaluation with one error: the result
+/// is unit and \p Ctx's bindings are as on entry.
 Value evalExpr(const Expr &E, EvalContext &Ctx, DiagnosticEngine &Diags);
 
 /// Applies a named builtin to argument values (shared with the constant

@@ -12,6 +12,11 @@ using namespace fnc2::olga;
 
 namespace {
 
+/// Runtime errors a lowered grammar keeps. The first ones are what a
+/// specification's author needs; the log lives as long as the grammar, so
+/// inputs that keep failing must not grow it without bound.
+constexpr unsigned kMaxRuntimeErrors = 64;
+
 /// Lowers one grammar declaration.
 class GrammarLowerer {
 public:
@@ -235,7 +240,13 @@ LoweredGrammar GrammarLowerer::run() {
         EvalContext Ctx;
         Ctx.Prog = ProgRef.get();
         Ctx.OccArgs = OccArgs;
-        return evalExpr(*BodyPtr, Ctx, *RuntimeRef);
+        DiagnosticEngine Local;
+        Value Result = evalExpr(*BodyPtr, Ctx, Local);
+        if (!Local.diagnostics().empty() &&
+            RuntimeRef->errorCount() < kMaxRuntimeErrors)
+          for (const Diagnostic &D : Local.diagnostics())
+            RuntimeRef->error(D.Message, D.Loc);
+        return Result;
       };
 
       RuleId R;

@@ -28,7 +28,9 @@ struct LoweredGrammar {
   /// Keeps the expression ASTs alive for the closures.
   std::shared_ptr<Program> Prog;
   /// Collects runtime errors raised inside semantic functions (division by
-  /// zero, non-exhaustive matches); empty after a clean evaluation.
+  /// zero, non-exhaustive matches, runaway recursion); empty after a clean
+  /// evaluation. A call's errors are kept while the log holds fewer than
+  /// 64, so it stays bounded however many evaluations fail.
   std::shared_ptr<DiagnosticEngine> RuntimeDiags;
 };
 

@@ -326,6 +326,35 @@ TEST(DriverTest, EndToEndCalcEvaluation) {
   EXPECT_FALSE(LG.RuntimeDiags->hasErrors()) << LG.RuntimeDiags->dump();
 }
 
+// The runtime log lives as long as the grammar: a rule that fails on
+// every call fills it to its bound and no further.
+TEST(DriverTest, RuntimeErrorLogIsBounded) {
+  DiagnosticEngine D;
+  CompileResult R = compileMolga(R"(
+grammar Div
+  phylum Top root
+  attr Top syn v : int
+  operator Num() -> Top lexeme int
+  rules for Num
+    Top.v := 100 / lexeme
+  end
+end
+)",
+                                 D);
+  ASSERT_TRUE(R.Success) << D.dump();
+  const LoweredGrammar &LG = *R.grammar("Div");
+  ASSERT_EQ(LG.AG.Rules.size(), 1u);
+  const SemanticFn &Fn = LG.AG.Rules[0].Fn;
+  const Value Five = Value::ofInt(5), Zero = Value::ofInt(0);
+  EXPECT_EQ(Fn(std::span<const Value>(&Five, 1)).asInt(), 20);
+  EXPECT_FALSE(LG.RuntimeDiags->hasErrors()) << LG.RuntimeDiags->dump();
+  for (unsigned I = 0; I != 100; ++I)
+    Fn(std::span<const Value>(&Zero, 1));
+  EXPECT_EQ(LG.RuntimeDiags->errorCount(), 64u);
+  EXPECT_NE(LG.RuntimeDiags->dump().find("division by zero"),
+            std::string::npos);
+}
+
 TEST(DriverTest, AutoCopyGeneratesEnvBroadcast) {
   DiagnosticEngine D;
   CompileResult R = compileMolga(CalcSource, D);
@@ -485,9 +514,7 @@ TEST(ExprEvalTest, FuelStopsRunawayRecursion) {
   ASSERT_TRUE(R.Success) << D.dump();
   EvalContext Ctx;
   Ctx.Prog = R.Prog.get();
-  // 2000 steps are 500 call levels, inside the interpreter's depth bound,
-  // so the fuel runs out first.
-  Ctx.Fuel = 2000;
+  Ctx.Fuel = 10000;
   Expr Call;
   Call.Kind = ExprKind::Call;
   Call.Name = "loop";
@@ -501,7 +528,8 @@ TEST(ExprEvalTest, FuelStopsRunawayRecursion) {
 }
 
 // With the default fuel a runaway recursion would nest about 260k frames
-// deep and overflow the stack; the depth bound stops it first.
+// deep and overflow the stack; the depth bound stops it first, with one
+// error however many calls are pending.
 TEST(ExprEvalTest, DepthBoundStopsRecursionAtDefaultFuel) {
   DiagnosticEngine D;
   CompileResult R = compileMolga(
@@ -523,20 +551,53 @@ TEST(ExprEvalTest, DepthBoundStopsRecursionAtDefaultFuel) {
     EvalContext Ctx;
     Ctx.Prog = R.Prog.get();
     DiagnosticEngine ED;
-    evalExpr(CallWith(Fn, 1000000), Ctx, ED);
-    ASSERT_TRUE(ED.hasErrors()) << Fn;
-    EXPECT_NE(ED.diagnostics().front().Message.find("nested deeper than"),
+    Value V = evalExpr(CallWith(Fn, 1000000), Ctx, ED);
+    EXPECT_TRUE(V.isUnit()) << Fn;
+    ASSERT_EQ(ED.diagnostics().size(), 1u) << Fn << ": " << ED.dump();
+    EXPECT_NE(ED.diagnostics().front().Message.find(
+                  "nested deeper than 8192 levels"),
               std::string::npos)
         << Fn << ": " << ED.dump();
-    EXPECT_GT(Ctx.Fuel, 0u) << Fn << ": the depth bound, not fuel, stopped it";
   }
-  // A shallow recursion is untouched.
+  // A non-tail recursion takes three frames per call here, so the bound
+  // admits one about 2700 calls deep.
+  for (int64_t N : {400, 2000}) {
+    EvalContext Ctx;
+    Ctx.Prog = R.Prog.get();
+    DiagnosticEngine ED;
+    Value V = evalExpr(CallWith("down", N), Ctx, ED);
+    EXPECT_FALSE(ED.hasErrors()) << N << ": " << ED.dump();
+    EXPECT_EQ(V.asInt(), N);
+  }
+}
+
+// Exhausting the fuel deep inside a wide recursion stops the whole
+// evaluation: one error, not one per pending step, and the caller's
+// bindings are left as they were.
+TEST(ExprEvalTest, ExhaustedFuelReportsOneError) {
+  DiagnosticEngine D;
+  CompileResult R = compileMolga(
+      "module M fun fib(n: int): int = "
+      "if n < 2 then n else fib(n - 1) + fib(n - 2) end",
+      D);
+  ASSERT_TRUE(R.Success) << D.dump();
   EvalContext Ctx;
   Ctx.Prog = R.Prog.get();
+  Ctx.Bindings.emplace_back("outer", Value::ofInt(1));
+  Expr Call;
+  Call.Kind = ExprKind::Call;
+  Call.Name = "fib";
+  auto Arg = std::make_unique<Expr>();
+  Arg->Kind = ExprKind::IntLit;
+  Arg->IntValue = 40;
+  Call.Children.push_back(std::move(Arg));
   DiagnosticEngine ED;
-  Value V = evalExpr(CallWith("down", 300), Ctx, ED);
-  EXPECT_FALSE(ED.hasErrors()) << ED.dump();
-  EXPECT_EQ(V.asInt(), 300);
+  Value V = evalExpr(Call, Ctx, ED);
+  EXPECT_TRUE(V.isUnit());
+  ASSERT_EQ(ED.diagnostics().size(), 1u) << ED.dump();
+  EXPECT_NE(ED.dump().find("fuel"), std::string::npos) << ED.dump();
+  ASSERT_EQ(Ctx.Bindings.size(), 1u);
+  EXPECT_EQ(Ctx.Bindings[0].first, "outer");
 }
 
 TEST(DriverTest, WellDefinednessCaught) {

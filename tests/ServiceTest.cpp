@@ -630,6 +630,16 @@ end
   Response Deep = D.execute(Ev);
   EXPECT_EQ(Deep.Id, 4u);
   EXPECT_TRUE(Deep.St == Status::Ok || Deep.St == Status::Error);
+  // The runaway call ends with one depth error in the grammar's runtime
+  // log. The daemon does not yet put runtime errors into its response
+  // (ROADMAP item 7), so the log is where the error shows.
+  std::shared_ptr<GrammarEntry> Entry = D.registry().lookup(Key);
+  ASSERT_TRUE(Entry);
+  ASSERT_EQ(Entry->Compile.Grammars.size(), 1u);
+  const DiagnosticEngine &Runtime = *Entry->Compile.Grammars[0].RuntimeDiags;
+  EXPECT_EQ(Runtime.errorCount(), 1u) << Runtime.dump();
+  EXPECT_NE(Runtime.dump().find("nested deeper than"), std::string::npos)
+      << Runtime.dump();
 
   Ev.Id = 5;
   Ev.Terms = {"Num<25>"};
