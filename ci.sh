@@ -29,12 +29,14 @@
 #      generation per grammar, or if the 8-client p99 latency exceeds its
 #      floor). Their JSON outputs are copied to BENCH_evaluators.json,
 #      BENCH_batch.json, BENCH_generator.json, BENCH_incremental.json,
-#      BENCH_native.json and BENCH_service.json at the repo root on every
-#      run.
-#   3. bench_check: the fresh bench JSONs are diffed against the committed
-#      baselines; any shared data point worse than its metric's tolerance
-#      fails the run (bench/bench_check.py — per-metric tolerances,
-#      tolerant to added/removed points).
+#      BENCH_native.json and BENCH_service.json at the repo root once
+#      step 3's checks pass.
+#   3. bench_check: one loop over the (baseline, fresh JSON) pairs diffs
+#      each fresh bench JSON against its committed baseline; any shared
+#      data point worse than its metric's tolerance fails the run
+#      (bench/bench_check.py — per-metric tolerances, tolerant to
+#      added/removed points). The fresh JSONs are copied over the
+#      baselines only after every check has passed.
 #   4. AddressSanitizer+UBSan build (-DFNC2_SANITIZE=address,undefined) of
 #      the serialization, artifact-cache and edit-log/session suites: every
 #      corruption-injection case (byte flips, truncations, version bumps,
@@ -111,36 +113,22 @@ cmake --build "$SRC/build" -j "$JOBS" \
 (cd "$SRC/build/bench" && ./service_traffic)
 
 echo "== [3/5] bench_check against committed baselines =="
-if [ -f "$SRC/BENCH_evaluators.json" ]; then
-  python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_evaluators.json" \
-          "$SRC/build/bench/evaluator_baselines.json"
-fi
-if [ -f "$SRC/BENCH_batch.json" ]; then
-  python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_batch.json" \
-          "$SRC/build/bench/batch_throughput.json"
-fi
-if [ -f "$SRC/BENCH_generator.json" ]; then
-  python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_generator.json" \
-          "$SRC/build/bench/generator_scaling.json"
-fi
-if [ -f "$SRC/BENCH_incremental.json" ]; then
-  python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_incremental.json" \
-          "$SRC/build/bench/incremental_scaling.json"
-fi
-if [ -f "$SRC/BENCH_native.json" ]; then
-  python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_native.json" \
-          "$SRC/build/bench/native_speedup.json"
-fi
-if [ -f "$SRC/BENCH_service.json" ]; then
-  python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_service.json" \
-          "$SRC/build/bench/service_traffic.json"
-fi
-cp "$SRC/build/bench/evaluator_baselines.json" "$SRC/BENCH_evaluators.json"
-cp "$SRC/build/bench/batch_throughput.json" "$SRC/BENCH_batch.json"
-cp "$SRC/build/bench/generator_scaling.json" "$SRC/BENCH_generator.json"
-cp "$SRC/build/bench/incremental_scaling.json" "$SRC/BENCH_incremental.json"
-cp "$SRC/build/bench/native_speedup.json" "$SRC/BENCH_native.json"
-cp "$SRC/build/bench/service_traffic.json" "$SRC/BENCH_service.json"
+# One list of (baseline, fresh JSON) pairs, BENCH_<name>.json at the repo
+# root against build/bench/<file>.json: every pair whose baseline exists is
+# checked first, and only when all checks pass is every fresh JSON copied
+# over its baseline.
+BENCH_PAIRS="evaluators:evaluator_baselines batch:batch_throughput
+             generator:generator_scaling incremental:incremental_scaling
+             native:native_speedup service:service_traffic"
+for Pair in $BENCH_PAIRS; do
+  if [ -f "$SRC/BENCH_${Pair%%:*}.json" ]; then
+    python3 "$SRC/bench/bench_check.py" "$SRC/BENCH_${Pair%%:*}.json" \
+            "$SRC/build/bench/${Pair#*:}.json"
+  fi
+done
+for Pair in $BENCH_PAIRS; do
+  cp "$SRC/build/bench/${Pair#*:}.json" "$SRC/BENCH_${Pair%%:*}.json"
+done
 echo "wrote BENCH_evaluators.json, BENCH_batch.json, BENCH_generator.json," \
      "BENCH_incremental.json, BENCH_native.json, BENCH_service.json"
 

@@ -2,45 +2,12 @@
 
 #include "eval/BatchEvaluator.h"
 
-#include "support/Trace.h"
-
 using namespace fnc2;
-
-void BatchEvaluator::setRootInherited(AttrId A, Value V) {
-  for (auto &[Attr, Val] : RootInh)
-    if (Attr == A) {
-      Val = std::move(V);
-      return;
-    }
-  RootInh.emplace_back(A, std::move(V));
-}
 
 BatchResult BatchEvaluator::evaluate(std::vector<Tree> &Trees) {
   FNC2_SPAN("batch.evaluate");
-  BatchResult Result;
-  Result.Outcomes.resize(Trees.size());
-
-  // One stats accumulator per worker; merged after the join so the hot loop
-  // never contends.
-  std::vector<EvalStats> WorkerStats(Pool.numThreads());
-
-  Pool.parallelFor(Trees.size(), [&](size_t I, unsigned Worker) {
-    // Each worker's trace events land in that thread's own buffer; the
-    // spans nested under this one reconstruct the per-worker timeline.
-    FNC2_SPAN("batch.tree");
-    // A fresh evaluator per tree over the shared compiled plan: it is a few
-    // references plus buffers, and it keeps tree failures fully isolated.
-    Evaluator E(Plan, Compiled);
-    for (const auto &[Attr, Val] : RootInh)
-      E.setRootInherited(Attr, Val);
-    BatchTreeOutcome &Out = Result.Outcomes[I];
-    Out.Success = E.evaluate(Trees[I], Out.Diags);
-    WorkerStats[Worker].merge(E.stats());
-  });
-
-  for (const EvalStats &S : WorkerStats)
-    Result.Stats.merge(S);
-  for (const BatchTreeOutcome &Out : Result.Outcomes)
-    Result.NumSucceeded += Out.Success;
-  return Result;
+  // A fresh evaluator per tree over the shared compiled plan: it is a few
+  // references plus buffers, and it keeps tree failures fully isolated.
+  return run(Pool, Trees, "batch.tree",
+             [this] { return Evaluator(Plan, Compiled); });
 }

@@ -7,9 +7,10 @@
 /// \file
 /// The parallel batch engine: evaluates a vector of independent attributed
 /// trees concurrently against one shared immutable EvaluationPlan (see the
-/// immutability contract in visitseq/VisitSequence.h). Each tree gets its
-/// own DiagnosticEngine so a failing tree cannot poison the batch, and each
-/// worker accumulates its own EvalStats, merged on join. The trees must be
+/// immutability contract in visitseq/VisitSequence.h), compiled once and
+/// shared read-only by a fresh Evaluator per tree. The driver (per-tree
+/// diagnostics, per-worker stats merged on join) is eval/BatchDriver.h,
+/// shared with the storage-optimized batch engine. The trees must be
 /// pairwise disjoint (no shared nodes); beyond that no coordination is
 /// needed because evaluation only writes tree-resident state.
 ///
@@ -18,37 +19,20 @@
 #ifndef FNC2_EVAL_BATCHEVALUATOR_H
 #define FNC2_EVAL_BATCHEVALUATOR_H
 
+#include "eval/BatchDriver.h"
 #include "eval/Evaluator.h"
-#include "support/ThreadPool.h"
-
-#include <deque>
 
 namespace fnc2 {
 
-/// Per-tree outcome of a batch run. Lives in a deque because the engine
-/// (and its embedded mutex) is not movable.
-struct BatchTreeOutcome {
-  bool Success = false;
-  DiagnosticEngine Diags;
-};
-
-/// The join of one batch: per-tree outcomes plus merged dynamic counters.
-struct BatchResult {
-  std::deque<BatchTreeOutcome> Outcomes;
-  EvalStats Stats;
-  unsigned NumSucceeded = 0;
-
-  bool allSucceeded() const { return NumSucceeded == Outcomes.size(); }
-};
+/// The join of one batch of the exhaustive evaluator (and of the merged
+/// engines, which report through the same counters).
+using BatchResult = BatchJoin<EvalStats>;
 
 /// Evaluates batches of trees of one grammar over a shared plan.
-class BatchEvaluator {
+class BatchEvaluator : public PerTreeBatch<Evaluator, EvalStats> {
 public:
   BatchEvaluator(const EvaluationPlan &Plan, ThreadPool &Pool)
       : Plan(Plan), Pool(Pool), Compiled(Plan) {}
-
-  /// Root inherited attributes applied to every tree of the batch.
-  void setRootInherited(AttrId A, Value V);
 
   /// Evaluates every tree of \p Trees (which must be pairwise disjoint),
   /// distributing them over the pool. Trees carry their attribute values on
@@ -61,7 +45,6 @@ private:
   ThreadPool &Pool;
   /// Compiled once; shared read-only by every worker's evaluator.
   CompiledPlan Compiled;
-  std::vector<std::pair<AttrId, Value>> RootInh;
 };
 
 } // namespace fnc2

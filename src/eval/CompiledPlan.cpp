@@ -3,17 +3,8 @@
 #include "eval/CompiledPlan.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace fnc2;
-
-bool fnc2::interpFallbackRequested() {
-  static const bool Requested = [] {
-    const char *Env = std::getenv("FNC2_INTERP_FALLBACK");
-    return Env && *Env && std::string_view(Env) != "0";
-  }();
-  return Requested;
-}
 
 uint64_t fnc2::planFingerprint(const CompiledPlan &CP) {
   // FNV-1a, inlined so the eval layer does not depend on serialize/.

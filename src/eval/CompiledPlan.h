@@ -5,19 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The plan compiler: lowers an EvaluationPlan's interpreted VisitSequence
-/// objects into flat, cache-friendly instruction streams. The paper's claim
-/// (sections 3.2, 4) is that visit-sequence evaluators are efficient because
-/// the sequences compile to tight code; this is the runtime analogue for our
-/// interpreting engines.
+/// The plan compiler: lowers an EvaluationPlan's VisitSequence objects into
+/// flat, cache-friendly instruction streams, the only form the visit-sequence
+/// engines execute. The paper's claim (sections 3.2, 4) is that
+/// visit-sequence evaluators are efficient because the sequences compile to
+/// tight code; this is the runtime analogue for our engines.
 ///
 /// Per (production, LHS partition) the compiler emits one contiguous run of
 /// CompiledInstr: BEGINs are dissolved into per-visit start offsets, EVAL
 /// rule sets become contiguous ranges of CompiledRule with every argument
 /// and target pre-resolved to a frame slot (no AG.attr()/occName lookups at
 /// eval time), and VISITs carry the son partition inline. Sequence lookup is
-/// a dense (production x partition) table plus a per-node cache, so
-/// Plan.find() leaves the hot loop entirely.
+/// a dense (production x partition) table plus a per-node cache, so the hot
+/// loop never searches the plan's sequence list.
 ///
 /// One CompiledPlan is immutable after construction and is shared by every
 /// engine — the batch evaluators compile once and hand the same plan to all
@@ -199,11 +199,6 @@ private:
 /// process-local and identical plans reloaded from the artifact cache must
 /// fingerprint identically.
 uint64_t planFingerprint(const CompiledPlan &CP);
-
-/// True when FNC2_INTERP_FALLBACK is set (non-empty, not "0") in the
-/// environment: engines that keep an interpreted VisitSequence walk default
-/// to it instead of the compiled stream. Differential safety net.
-bool interpFallbackRequested();
 
 } // namespace fnc2
 

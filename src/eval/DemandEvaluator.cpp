@@ -8,6 +8,56 @@
 
 using namespace fnc2;
 
+namespace {
+
+/// Makes sure a node's attribute frame exists (lazily sized from the
+/// grammar).
+void ensureNodeStorage(const AttributeGrammar &AG, TreeNode *N) {
+  if (N->hasFrame())
+    return;
+  const Production &Pr = AG.prod(N->Prod);
+  N->ensureFrame(static_cast<unsigned>(AG.phylum(Pr.Lhs).Attrs.size()),
+                 static_cast<unsigned>(Pr.Locals.size()));
+}
+
+/// Reads an attribute value from tree-resident storage. \p N is the node
+/// the occurrence's production applies to; the value has been forced, so
+/// the site's frame exists and the slot is computed (asserted only).
+const Value &readOcc(const AttributeGrammar &AG, TreeNode *N,
+                     const AttrOcc &O) {
+  if (O.isLexeme())
+    return N->Lexeme;
+  if (O.isLocal()) {
+    const unsigned Slot = N->FrameAttrs + O.LocalIndex;
+    assert(N->slotComputed(Slot) && "local read before definition");
+    return N->Slots[Slot];
+  }
+  TreeNode *Site = O.Pos == 0 ? N : N->child(O.Pos - 1);
+  const unsigned Idx = AG.attr(O.Attr).IndexInOwner;
+  assert(Site->hasFrame() && "attribute read before storage was ensured");
+  assert(Site->slotComputed(Idx) && "attribute read before definition");
+  return Site->Slots[Idx];
+}
+
+/// Writes an attribute value into tree-resident storage.
+void writeOcc(const AttributeGrammar &AG, TreeNode *N, const AttrOcc &O,
+              Value V) {
+  assert(!O.isLexeme() && "lexeme is read-only");
+  if (O.isLocal()) {
+    const unsigned Slot = N->FrameAttrs + O.LocalIndex;
+    N->Slots[Slot] = std::move(V);
+    N->setSlotComputed(Slot);
+    return;
+  }
+  TreeNode *Site = O.Pos == 0 ? N : N->child(O.Pos - 1);
+  ensureNodeStorage(AG, Site);
+  const unsigned Idx = AG.attr(O.Attr).IndexInOwner;
+  Site->Slots[Idx] = std::move(V);
+  Site->setSlotComputed(Idx);
+}
+
+} // namespace
+
 void DemandEvaluator::setRootInherited(AttrId A, Value V) {
   for (auto &[Attr, Val] : RootInh)
     if (Attr == A) {

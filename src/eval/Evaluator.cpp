@@ -15,63 +15,20 @@ std::span<const CounterField<EvalStats>> EvalStats::schema() {
   return Fields;
 }
 
-void fnc2::ensureNodeStorage(const AttributeGrammar &AG, TreeNode *N) {
-  if (N->hasFrame())
-    return;
-  const Production &Pr = AG.prod(N->Prod);
-  N->ensureFrame(static_cast<unsigned>(AG.phylum(Pr.Lhs).Attrs.size()),
-                 static_cast<unsigned>(Pr.Locals.size()));
-}
-
-const Value &fnc2::readOcc(const AttributeGrammar &AG, TreeNode *N,
-                           const AttrOcc &O) {
-  if (O.isLexeme())
-    return N->Lexeme;
-  if (O.isLocal()) {
-    const unsigned Slot = N->FrameAttrs + O.LocalIndex;
-    assert(N->slotComputed(Slot) && "local read before definition");
-    return N->Slots[Slot];
-  }
-  TreeNode *Site = O.Pos == 0 ? N : N->child(O.Pos - 1);
-  const unsigned Idx = AG.attr(O.Attr).IndexInOwner;
-  // The frame is guaranteed: self frames are ensured by the visit prologue,
-  // child frames by the inherited-attribute writes / visits that precede
-  // any read in a well-formed sequence.
-  assert(Site->hasFrame() && "attribute read before storage was ensured");
-  assert(Site->slotComputed(Idx) && "attribute read before definition");
-  return Site->Slots[Idx];
-}
-
-void fnc2::writeOcc(const AttributeGrammar &AG, TreeNode *N, const AttrOcc &O,
-                    Value V) {
-  assert(!O.isLexeme() && "lexeme is read-only");
-  if (O.isLocal()) {
-    const unsigned Slot = N->FrameAttrs + O.LocalIndex;
-    N->Slots[Slot] = std::move(V);
-    N->setSlotComputed(Slot);
-    return;
-  }
-  TreeNode *Site = O.Pos == 0 ? N : N->child(O.Pos - 1);
-  ensureNodeStorage(AG, Site);
-  const unsigned Idx = AG.attr(O.Attr).IndexInOwner;
-  Site->Slots[Idx] = std::move(V);
-  Site->setSlotComputed(Idx);
-}
-
 //===----------------------------------------------------------------------===//
 // Evaluator
 //===----------------------------------------------------------------------===//
 
 Evaluator::Evaluator(const EvaluationPlan &Plan)
     : Plan(Plan), OwnedCP(std::make_unique<CompiledPlan>(Plan)),
-      CP(OwnedCP.get()), UseInterp(interpFallbackRequested()) {
+      CP(OwnedCP.get()) {
   RootInhVals.resize(Plan.AG->Attrs.size());
   RootInhSet.assign(Plan.AG->Attrs.size(), 0);
   ArgBuf.resize(CP->MaxRuleArgs);
 }
 
 Evaluator::Evaluator(const EvaluationPlan &Plan, const CompiledPlan &Compiled)
-    : Plan(Plan), CP(&Compiled), UseInterp(interpFallbackRequested()) {
+    : Plan(Plan), CP(&Compiled) {
   assert(&Compiled.plan() == &Plan && "compiled plan from a different plan");
   RootInhVals.resize(Plan.AG->Attrs.size());
   RootInhSet.assign(Plan.AG->Attrs.size(), 0);
@@ -98,10 +55,6 @@ bool Evaluator::installRootInherited(TreeNode *Root, DiagnosticEngine &Diags) {
   }
   return true;
 }
-
-//===----------------------------------------------------------------------===//
-// Compiled path
-//===----------------------------------------------------------------------===//
 
 bool Evaluator::execCompiledRule(TreeNode *N, const CompiledRule &R,
                                  DiagnosticEngine &Diags) {
@@ -194,73 +147,6 @@ bool Evaluator::runCompiledVisit(TreeNode *N, const CompiledSeq *Seq,
 }
 
 //===----------------------------------------------------------------------===//
-// Interpreted fallback
-//===----------------------------------------------------------------------===//
-
-bool Evaluator::execEval(TreeNode *N, const std::vector<RuleId> &Rules,
-                         DiagnosticEngine &Diags) {
-  const AttributeGrammar &AG = *Plan.AG;
-  for (RuleId R : Rules) {
-    const SemanticRule &Rule = AG.rule(R);
-    if (!Rule.Fn) {
-      Diags.error("rule for '" + AG.occName(Rule.Prod, Rule.Target) +
-                  "' in operator '" + AG.prod(Rule.Prod).Name +
-                  "' has no semantic function");
-      return false;
-    }
-    Value *Buf = ArgBuf.data();
-    size_t NumArgs = Rule.Args.size();
-    for (size_t I = 0; I != NumArgs; ++I)
-      Buf[I] = readOcc(AG, N, Rule.Args[I]);
-    writeOcc(AG, N, Rule.Target,
-             Rule.Fn(std::span<const Value>(Buf, NumArgs)));
-    ++Stats.RulesEvaluated;
-  }
-  FNC2_COUNT("eval.rules", Rules.size());
-  return true;
-}
-
-bool Evaluator::runVisit(TreeNode *N, unsigned VisitNo,
-                         DiagnosticEngine &Diags) {
-  const AttributeGrammar &AG = *Plan.AG;
-  ensureNodeStorage(AG, N);
-  const VisitSequence *Seq = Plan.find(N->Prod, N->PartitionId);
-  if (!Seq) {
-    Diags.error("no visit sequence for operator '" + AG.prod(N->Prod).Name +
-                "' under partition " + std::to_string(N->PartitionId));
-    return false;
-  }
-  assert(VisitNo >= 1 && VisitNo <= Seq->NumVisits && "visit out of range");
-  ++Stats.VisitsPerformed;
-  FNC2_SPAN("eval.visit");
-
-  for (unsigned I = Seq->BeginIndex[VisitNo - 1] + 1;; ++I) {
-    assert(I < Seq->Instrs.size() && "ran past the end of a visit sequence");
-    const VisitInstr &Instr = Seq->Instrs[I];
-    ++Stats.InstructionsExecuted;
-    switch (Instr.Kind) {
-    case VisitInstr::Op::Eval:
-      if (!execEval(N, Instr.Rules, Diags))
-        return false;
-      break;
-    case VisitInstr::Op::Visit: {
-      TreeNode *Child = N->child(Instr.Child);
-      Child->PartitionId = Instr.ChildPartition;
-      if (!runVisit(Child, Instr.VisitNo, Diags))
-        return false;
-      break;
-    }
-    case VisitInstr::Op::Leave:
-      assert(Instr.VisitNo == VisitNo && "mismatched LEAVE");
-      return true;
-    case VisitInstr::Op::Begin:
-      assert(false && "BEGIN inside a visit body");
-      return false;
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Driver
 //===----------------------------------------------------------------------===//
 
@@ -278,25 +164,13 @@ bool Evaluator::evaluate(Tree &T, DiagnosticEngine &Diags) {
   if (!installRootInherited(Root, Diags))
     return false;
 
-  if (!UseInterp) {
-    const CompiledSeq *Seq = CP->seqForNode(Root);
-    if (!Seq) {
-      Diags.error("no visit sequence for the root operator");
-      return false;
-    }
-    for (unsigned V = 1; V <= Seq->NumVisits; ++V)
-      if (!runCompiledVisit(Root, Seq, V, Diags))
-        return false;
-    return true;
-  }
-
-  const VisitSequence *Seq = Plan.find(Root->Prod, Root->PartitionId);
+  const CompiledSeq *Seq = CP->seqForNode(Root);
   if (!Seq) {
     Diags.error("no visit sequence for the root operator");
     return false;
   }
   for (unsigned V = 1; V <= Seq->NumVisits; ++V)
-    if (!runVisit(Root, V, Diags))
+    if (!runCompiledVisit(Root, Seq, V, Diags))
       return false;
   return true;
 }

@@ -11,10 +11,10 @@
 /// (frame slots) in this evaluator; the storage-optimized variant lives in
 /// src/storage.
 ///
-/// By default the evaluator runs the CompiledPlan instruction stream (flat
-/// opcodes, pre-resolved slots, reusable argument buffer). The original
-/// VisitSequence interpreter is retained behind setUseInterpreted() /
-/// FNC2_INTERP_FALLBACK as a differential reference.
+/// The evaluator runs the CompiledPlan instruction stream (flat opcodes,
+/// pre-resolved slots, reusable argument buffer). The DemandEvaluator, which
+/// interprets the grammar's rules directly, is the independent reference the
+/// differential tests hold it to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,26 +71,15 @@ public:
   const EvalStats &stats() const { return Stats; }
   void resetStats() { Stats.reset(); }
 
-  /// Selects the interpreted VisitSequence walk instead of the compiled
-  /// stream (both produce identical attributions, stats and traces).
-  void setUseInterpreted(bool B) { UseInterp = B; }
-  bool usesInterpreted() const { return UseInterp; }
-
   const CompiledPlan &compiled() const { return *CP; }
 
 private:
   bool installRootInherited(TreeNode *Root, DiagnosticEngine &Diags);
 
-  // Compiled path.
   bool runCompiledVisit(TreeNode *N, const CompiledSeq *Seq, unsigned VisitNo,
                         DiagnosticEngine &Diags);
   bool execCompiledRule(TreeNode *N, const CompiledRule &R,
                         DiagnosticEngine &Diags);
-
-  // Interpreted fallback.
-  bool runVisit(TreeNode *N, unsigned VisitNo, DiagnosticEngine &Diags);
-  bool execEval(TreeNode *N, const std::vector<RuleId> &Rules,
-                DiagnosticEngine &Diags);
 
   const EvaluationPlan &Plan;
   std::unique_ptr<const CompiledPlan> OwnedCP;
@@ -102,23 +91,7 @@ private:
   std::vector<uint8_t> RootInhSet;
   /// Reusable argument buffer; semantic functions see a span into it.
   std::vector<Value> ArgBuf;
-  bool UseInterp;
 };
-
-/// Makes sure a node's attribute frame exists (lazily sized from the
-/// grammar). Shared with the demand and incremental evaluators.
-void ensureNodeStorage(const AttributeGrammar &AG, TreeNode *N);
-
-/// Reads an attribute value from tree-resident storage, asserting that the
-/// site's frame exists and the value has been computed (the frame is
-/// guaranteed by the visit prologue / preceding writes, so no re-check on
-/// every read). \p N is the node the occurrence's production applies to.
-const Value &readOcc(const AttributeGrammar &AG, TreeNode *N,
-                     const AttrOcc &O);
-
-/// Writes an attribute value into tree-resident storage.
-void writeOcc(const AttributeGrammar &AG, TreeNode *N, const AttrOcc &O,
-              Value V);
 
 } // namespace fnc2
 

@@ -123,6 +123,13 @@ public:
   bool store(const AttributeGrammar &AG, const GeneratorOptions &Opts,
              GeneratedEvaluator &G);
 
+  /// load()/store() against a precomputed \p Key == artifactKey(AG, Opts),
+  /// so a miss followed by a store hashes the grammar only once.
+  CacheLookup load(const AttributeGrammar &AG, const GeneratorOptions &Opts,
+                   uint64_t Key, GeneratedEvaluator &G, std::string &Reason);
+  bool store(const AttributeGrammar &AG, const GeneratorOptions &Opts,
+             uint64_t Key, GeneratedEvaluator &G);
+
   /// Serializes \p G exactly as store() would, without touching the disk
   /// (the golden-artifact test and the fuzzers build images in memory).
   static std::vector<uint8_t> encode(const AttributeGrammar &AG,

@@ -102,11 +102,13 @@ GeneratedEvaluator fnc2::generateEvaluator(const AttributeGrammar &AG,
     return runCascade(AG, Diags, Opts);
 
   ArtifactCache Cache(Opts.CacheDir);
+  uint64_t Key; // hashed once: a miss reuses it for the store
   {
     FNC2_SPAN("cache.load");
+    Key = ArtifactCache::artifactKey(AG, Opts);
     GeneratedEvaluator Cached;
     std::string Reason;
-    switch (Cache.load(AG, Opts, Cached, Reason)) {
+    switch (Cache.load(AG, Opts, Key, Cached, Reason)) {
     case CacheLookup::Hit:
       FNC2_COUNT("generator.cache.hit", 1);
       return Cached;
@@ -125,7 +127,7 @@ GeneratedEvaluator fnc2::generateEvaluator(const AttributeGrammar &AG,
   GeneratedEvaluator G = runCascade(AG, Diags, Opts);
   if (G.Success) {
     FNC2_SPAN("cache.store");
-    if (Cache.store(AG, Opts, G))
+    if (Cache.store(AG, Opts, Key, G))
       FNC2_COUNT("generator.cache.store", 1);
     else
       FNC2_COUNT("generator.cache.store_failure", 1);

@@ -2,44 +2,17 @@
 
 #include "storage/BatchStorageEvaluator.h"
 
-#include "support/Trace.h"
-
 using namespace fnc2;
-
-void BatchStorageEvaluator::setRootInherited(AttrId A, Value V) {
-  for (auto &[Attr, Val] : RootInh)
-    if (Attr == A) {
-      Val = std::move(V);
-      return;
-    }
-  RootInh.emplace_back(A, std::move(V));
-}
 
 BatchStorageResult BatchStorageEvaluator::evaluate(std::vector<Tree> &Trees) {
   FNC2_SPAN("batch.storage.evaluate");
-  BatchStorageResult Result;
-  Result.Outcomes.resize(Trees.size());
-
-  std::vector<StorageStats> WorkerStats(Pool.numThreads());
-
-  Pool.parallelFor(Trees.size(), [&](size_t I, unsigned Worker) {
-    FNC2_SPAN("batch.storage.tree");
-    // A fresh evaluator per tree over the shared compiled state: the
-    // assignment's variables and stacks are run-local cell banks, so
-    // sharing an instance across concurrent trees would be meaningless as
-    // well as racy.
+  // A fresh evaluator per tree over the shared compiled state: the
+  // assignment's variables and stacks are run-local cell banks, so sharing
+  // an instance across concurrent trees would be meaningless as well as
+  // racy.
+  return run(Pool, Trees, "batch.storage.tree", [this] {
     StorageEvaluator E(Plan, SA, Compiled, CompiledSA);
     E.setMirrorToTree(MirrorToTree);
-    for (const auto &[Attr, Val] : RootInh)
-      E.setRootInherited(Attr, Val);
-    BatchTreeOutcome &Out = Result.Outcomes[I];
-    Out.Success = E.evaluate(Trees[I], Out.Diags);
-    WorkerStats[Worker].merge(E.stats());
+    return E;
   });
-
-  for (const StorageStats &S : WorkerStats)
-    Result.Stats.merge(S);
-  for (const BatchTreeOutcome &Out : Result.Outcomes)
-    Result.NumSucceeded += Out.Success;
-  return Result;
 }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch API of eval/BatchEvaluator.h extended over the storage-
+/// The per-tree batch driver of eval/BatchDriver.h over the storage-
 /// optimized evaluator, so the space-optimization ablation also runs
 /// batched. The plan and the StorageAssignment are shared read-only; the
 /// global variables and stacks the assignment prescribes are *per-worker
@@ -19,29 +19,21 @@
 
 #include "eval/BatchEvaluator.h"
 #include "storage/StorageEvaluator.h"
-#include "support/ThreadPool.h"
 
 namespace fnc2 {
 
 /// The join of one storage-evaluated batch.
-struct BatchStorageResult {
-  std::deque<BatchTreeOutcome> Outcomes;
-  StorageStats Stats;
-  unsigned NumSucceeded = 0;
-
-  bool allSucceeded() const { return NumSucceeded == Outcomes.size(); }
-};
+using BatchStorageResult = BatchJoin<StorageStats>;
 
 /// Evaluates batches of disjoint trees under a shared plan + storage
 /// assignment.
-class BatchStorageEvaluator {
+class BatchStorageEvaluator
+    : public PerTreeBatch<StorageEvaluator, StorageStats> {
 public:
   BatchStorageEvaluator(const EvaluationPlan &Plan,
                         const StorageAssignment &SA, ThreadPool &Pool)
       : Plan(Plan), SA(SA), Pool(Pool), Compiled(Plan),
         CompiledSA(Compiled, SA) {}
-
-  void setRootInherited(AttrId A, Value V);
 
   /// Mirrors every write into the tree slots (differential testing).
   void setMirrorToTree(bool On) { MirrorToTree = On; }
@@ -56,7 +48,6 @@ private:
   CompiledPlan Compiled;
   CompiledStorage CompiledSA;
   bool MirrorToTree = false;
-  std::vector<std::pair<AttrId, Value>> RootInh;
 };
 
 } // namespace fnc2

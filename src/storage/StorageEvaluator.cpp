@@ -2,7 +2,6 @@
 
 #include "storage/StorageEvaluator.h"
 
-#include "eval/Evaluator.h"
 #include "storage/SoAFrames.h"
 #include "support/Trace.h"
 
@@ -66,7 +65,7 @@ StorageEvaluator::StorageEvaluator(const EvaluationPlan &Plan,
                                    const StorageAssignment &SA)
     : Plan(Plan), SA(SA), OwnedCP(std::make_unique<CompiledPlan>(Plan)),
       CP(OwnedCP.get()), OwnedCS(std::make_unique<CompiledStorage>(*CP, SA)),
-      CS(OwnedCS.get()), UseInterp(interpFallbackRequested()) {
+      CS(OwnedCS.get()) {
   RootInhVals.resize(Plan.AG->Attrs.size());
   RootInhSet.assign(Plan.AG->Attrs.size(), 0);
   ArgBuf.resize(CP->MaxRuleArgs);
@@ -76,8 +75,7 @@ StorageEvaluator::StorageEvaluator(const EvaluationPlan &Plan,
                                    const StorageAssignment &SA,
                                    const CompiledPlan &Compiled,
                                    const CompiledStorage &CompiledSA)
-    : Plan(Plan), SA(SA), CP(&Compiled), CS(&CompiledSA),
-      UseInterp(interpFallbackRequested()) {
+    : Plan(Plan), SA(SA), CP(&Compiled), CS(&CompiledSA) {
   assert(&Compiled.plan() == &Plan && "compiled plan from a different plan");
   RootInhVals.resize(Plan.AG->Attrs.size());
   RootInhSet.assign(Plan.AG->Attrs.size(), 0);
@@ -108,8 +106,8 @@ void StorageEvaluator::shrinkDeadSuffix(StackGroup &G) {
 // local) instance. Accumulates across evaluate() calls like every other
 // summing counter (it used to be zeroed per run, which under-reported the
 // baseline — and inflated reductionFactor() — when one evaluator was
-// reused over several trees). The same walk stamps the compiled path's
-// per-node cell index arrays.
+// reused over several trees). The same walk stamps the per-node cell index
+// arrays.
 void StorageEvaluator::countBaseline(TreeNode *Root) {
   WalkBuf.clear();
   appendLevelOrder(Root, WalkBuf);
@@ -120,8 +118,6 @@ void StorageEvaluator::countBaseline(TreeNode *Root) {
     Stats.TreeBaselineCells += NumSlots;
     TotalSlots += NumSlots;
   }
-  if (UseInterp)
-    return;
   CellIdxArena.assign(TotalSlots, -1);
   int64_t *P = CellIdxArena.data();
   for (TreeNode *N : WalkBuf) {
@@ -136,34 +132,20 @@ bool StorageEvaluator::installRootInherited(TreeNode *Root,
   const AttributeGrammar &AG = *Plan.AG;
   const PhylumId Start = AG.prod(Root->Prod).Lhs;
   // Root installs never die: the write targets position 0, outside every
-  // chunk, so the death list stays empty.
-  std::vector<PendingDeath> RootDeaths;
-  for (AttrId A : AG.phylum(Start).Attrs) {
-    const Attribute &At = AG.attr(A);
-    if (!At.isInherited())
-      continue;
-    if (!RootInhSet[A]) {
-      Diags.error("inherited attribute '" + At.Name +
+  // chunk.
+  for (const SlotAttr &IA : CP->InhByPhylum[Start]) {
+    if (!RootInhSet[IA.Attr]) {
+      Diags.error("inherited attribute '" + AG.attr(IA.Attr).Name +
                   "' of the start phylum was not provided");
       return false;
     }
-    if (UseInterp) {
-      writeOccStored(Root, AttrOcc::onSymbol(0, A), RootInhVals[A],
-                     RootDeaths);
-    } else {
-      SlotRef Ref;
-      Ref.Kind = SlotRef::K::Self;
-      Ref.Slot = static_cast<uint16_t>(At.IndexInOwner);
-      writeSlot(Root, Ref, SA.ClassOf[A], SA.GroupOf[A], /*Dies=*/false,
-                RootInhVals[A]);
-    }
+    SlotRef Ref;
+    Ref.Slot = IA.Slot;
+    writeSlot(Root, Ref, SA.ClassOf[IA.Attr], SA.GroupOf[IA.Attr],
+              /*Dies=*/false, RootInhVals[IA.Attr]);
   }
   return true;
 }
-
-//===----------------------------------------------------------------------===//
-// Compiled path
-//===----------------------------------------------------------------------===//
 
 const Value *StorageEvaluator::readSlot(TreeNode *N, const SlotRef &Ref,
                                         const CompiledStorage::Ref &C) {
@@ -356,283 +338,17 @@ bool StorageEvaluator::runCompiledVisit(TreeNode *N, const CompiledSeq *Seq,
 }
 
 //===----------------------------------------------------------------------===//
-// Interpreted fallback
-//===----------------------------------------------------------------------===//
-
-const Value *StorageEvaluator::readOccStored(TreeNode *N, const AttrOcc &O) {
-  const AttributeGrammar &AG = *Plan.AG;
-  if (O.isLexeme())
-    return &N->Lexeme;
-  if (O.isLocal()) {
-    unsigned Id = SA.Ids.idOfLocal(N->Prod, O.LocalIndex);
-    switch (SA.ClassOf[Id]) {
-    case StorageClass::Variable:
-      assert(VarSet[SA.GroupOf[Id]] && "variable read before write");
-      return &Vars[SA.GroupOf[Id]];
-    case StorageClass::Stack: {
-      auto It = LocalCell.find(N);
-      assert(It != LocalCell.end() && "local cell index missing");
-      int64_t Idx = It->second[O.LocalIndex];
-      assert(Idx >= 0 && "local read before definition");
-      StackGroup &G = Stacks[SA.GroupOf[Id]];
-      assert(static_cast<size_t>(Idx) < G.Cells.size() && !G.Dead[Idx] &&
-             "stale stack cell");
-      return &G.Cells[Idx];
-    }
-    case StorageClass::TreeCell:
-      assert(N->hasFrame() && "local read before storage was ensured");
-      return &N->Slots[N->FrameAttrs + O.LocalIndex];
-    }
-  }
-  TreeNode *Site = O.Pos == 0 ? N : N->child(O.Pos - 1);
-  unsigned Id = SA.Ids.idOfAttr(O.Attr);
-  unsigned AttrIdx = AG.attr(O.Attr).IndexInOwner;
-  switch (SA.ClassOf[Id]) {
-  case StorageClass::Variable:
-    assert(VarSet[SA.GroupOf[Id]] && "variable read before write");
-    return &Vars[SA.GroupOf[Id]];
-  case StorageClass::Stack: {
-    auto It = AttrCell.find(Site);
-    assert(It != AttrCell.end() && "attribute cell index missing");
-    int64_t Idx = It->second[AttrIdx];
-    assert(Idx >= 0 && "attribute read before definition");
-    StackGroup &G = Stacks[SA.GroupOf[Id]];
-    assert(static_cast<size_t>(Idx) < G.Cells.size() && !G.Dead[Idx] &&
-           "stale stack cell");
-    return &G.Cells[Idx];
-  }
-  case StorageClass::TreeCell:
-    ensureNodeStorage(AG, Site);
-    return &Site->Slots[AttrIdx];
-  }
-  return nullptr;
-}
-
-void StorageEvaluator::writeOccStored(TreeNode *N, const AttrOcc &O, Value V,
-                                      std::vector<PendingDeath> &Deaths) {
-  const AttributeGrammar &AG = *Plan.AG;
-  assert(!O.isLexeme() && "lexeme is read-only");
-
-  if (MirrorToTree) {
-    ensureNodeStorage(AG, O.isLocal()
-                              ? N
-                              : (O.Pos == 0 ? N : N->child(O.Pos - 1)));
-    writeOcc(AG, N, O, V);
-  }
-
-  unsigned Id;
-  TreeNode *Site;
-  std::vector<int64_t> *Cells;
-  unsigned SlotIdx;
-  if (O.isLocal()) {
-    Id = SA.Ids.idOfLocal(N->Prod, O.LocalIndex);
-    Site = N;
-    auto &Vec = LocalCell[N];
-    if (Vec.size() != AG.prod(N->Prod).Locals.size())
-      Vec.assign(AG.prod(N->Prod).Locals.size(), -1);
-    Cells = &Vec;
-    SlotIdx = O.LocalIndex;
-  } else {
-    Id = SA.Ids.idOfAttr(O.Attr);
-    Site = O.Pos == 0 ? N : N->child(O.Pos - 1);
-    auto &Vec = AttrCell[Site];
-    unsigned NumAttrs = static_cast<unsigned>(
-        AG.phylum(AG.prod(Site->Prod).Lhs).Attrs.size());
-    if (Vec.size() != NumAttrs)
-      Vec.assign(NumAttrs, -1);
-    Cells = &Vec;
-    SlotIdx = AG.attr(O.Attr).IndexInOwner;
-  }
-
-  switch (SA.ClassOf[Id]) {
-  case StorageClass::Variable:
-    if (!VarSet[SA.GroupOf[Id]]) {
-      VarSet[SA.GroupOf[Id]] = 1;
-      ++VarsLive;
-    }
-    Vars[SA.GroupOf[Id]] = std::move(V);
-    ++Stats.VariableWrites;
-    break;
-  case StorageClass::Stack: {
-    StackGroup &G = Stacks[SA.GroupOf[Id]];
-    G.Cells.push_back(std::move(V));
-    G.Dead.push_back(0);
-    (*Cells)[SlotIdx] = static_cast<int64_t>(G.Cells.size() - 1);
-    // LHS-synthesized results outlive this chunk: the parent adopts their
-    // cells when the VISIT returns. Everything else dies at our LEAVE.
-    if (O.isLocal() || O.Pos != 0)
-      Deaths.push_back({SA.GroupOf[Id],
-                        static_cast<unsigned>(G.Cells.size() - 1)});
-    ++Stats.StackPushes;
-    break;
-  }
-  case StorageClass::TreeCell:
-    if (!MirrorToTree) {
-      ensureNodeStorage(AG, Site);
-      writeOcc(AG, N, O, std::move(V));
-    }
-    ++Stats.TreeWrites;
-    ++TreeCellsLive;
-    break;
-  }
-  noteLiveCells();
-}
-
-bool StorageEvaluator::execRule(TreeNode *N, RuleId R,
-                                std::vector<PendingDeath> &Deaths,
-                                DiagnosticEngine &Diags) {
-  const AttributeGrammar &AG = *Plan.AG;
-  const SemanticRule &Rule = AG.rule(R);
-  if (!Rule.Fn) {
-    Diags.error("rule for '" + AG.occName(Rule.Prod, Rule.Target) +
-                "' has no semantic function");
-    return false;
-  }
-
-  // Eliminated copies: the target shares the source's cell (stacks) or the
-  // write is a no-op on the shared variable.
-  if (SA.CopyEliminated[R]) {
-    ++Stats.CopiesSkipped;
-    FNC2_COUNT("storage.copies_skipped", 1);
-    const AttrOcc &Src = Rule.Args[0];
-    unsigned TId = SA.Ids.idOfOcc(AG, Rule.Prod, Rule.Target);
-    if (SA.ClassOf[TId] == StorageClass::Stack) {
-      // Share the source cell: copy the recorded index.
-      TreeNode *SrcSite = Src.isLocal()
-                              ? N
-                              : (Src.Pos == 0 ? N : N->child(Src.Pos - 1));
-      int64_t Idx = Src.isLocal() ? LocalCell[SrcSite][Src.LocalIndex]
-                                  : AttrCell[SrcSite][Plan.AG->attr(Src.Attr)
-                                                          .IndexInOwner];
-      assert(Idx >= 0 && "eliminated copy reads an undefined source");
-      const AttrOcc &T = Rule.Target;
-      // A synthesized result sharing a cell must keep that cell alive past
-      // this chunk's LEAVE: cancel any death pending for it here (the
-      // parent's adoption then extends the lifetime, exactly the paper's
-      // delayed POP).
-      if (!T.isLocal() && T.Pos == 0) {
-        unsigned Group = SA.GroupOf[TId];
-        for (auto It = Deaths.begin(); It != Deaths.end(); ++It)
-          if (It->Group == Group &&
-              It->Index == static_cast<unsigned>(Idx)) {
-            Deaths.erase(It);
-            break;
-          }
-      }
-      TreeNode *TSite =
-          T.isLocal() ? N : (T.Pos == 0 ? N : N->child(T.Pos - 1));
-      if (T.isLocal()) {
-        auto &Vec = LocalCell[TSite];
-        if (Vec.size() != AG.prod(TSite->Prod).Locals.size())
-          Vec.assign(AG.prod(TSite->Prod).Locals.size(), -1);
-        Vec[T.LocalIndex] = Idx;
-      } else {
-        auto &Vec = AttrCell[TSite];
-        unsigned NumAttrs = static_cast<unsigned>(
-            AG.phylum(AG.prod(TSite->Prod).Lhs).Attrs.size());
-        if (Vec.size() != NumAttrs)
-          Vec.assign(NumAttrs, -1);
-        Vec[AG.attr(T.Attr).IndexInOwner] = Idx;
-      }
-    }
-    if (MirrorToTree) {
-      const Value *V = readOccStored(N, Src);
-      writeOcc(AG, N, Rule.Target, *V);
-    }
-    ++Stats.RulesEvaluated;
-    FNC2_COUNT("storage.rules", 1);
-    return true;
-  }
-
-  Value *Buf = ArgBuf.data();
-  const size_t NumArgs = Rule.Args.size();
-  for (size_t I = 0; I != NumArgs; ++I) {
-    const Value *V = readOccStored(N, Rule.Args[I]);
-    if (!V) {
-      Diags.error("argument unavailable for rule '" + Rule.FnName + "'");
-      return false;
-    }
-    Buf[I] = *V;
-  }
-  writeOccStored(N, Rule.Target,
-                 Rule.Fn(std::span<const Value>(Buf, NumArgs)), Deaths);
-  ++Stats.RulesEvaluated;
-  FNC2_COUNT("storage.rules", 1);
-  return true;
-}
-
-bool StorageEvaluator::runVisit(TreeNode *N, unsigned VisitNo,
-                                DiagnosticEngine &Diags) {
-  FNC2_SPAN("storage.visit");
-  const AttributeGrammar &AG = *Plan.AG;
-  const VisitSequence *Seq = Plan.find(N->Prod, N->PartitionId);
-  if (!Seq) {
-    Diags.error("no visit sequence for operator '" + AG.prod(N->Prod).Name +
-                "' under partition " + std::to_string(N->PartitionId));
-    return false;
-  }
-
-  // Cells created during this chunk die at its LEAVE (delayed POPs).
-  std::vector<PendingDeath> Deaths;
-
-  for (unsigned I = Seq->BeginIndex[VisitNo - 1] + 1;; ++I) {
-    const VisitInstr &Instr = Seq->Instrs[I];
-    switch (Instr.Kind) {
-    case VisitInstr::Op::Eval:
-      for (RuleId R : Instr.Rules)
-        if (!execRule(N, R, Deaths, Diags))
-          return false;
-      break;
-    case VisitInstr::Op::Visit: {
-      TreeNode *Child = N->child(Instr.Child);
-      Child->PartitionId = Instr.ChildPartition;
-      // Remember how many cells each stack holds: the child's returned
-      // synthesized cells (pushed inside) must die at *this* chunk's LEAVE.
-      std::vector<size_t> Before(Stacks.size());
-      for (size_t S = 0; S != Stacks.size(); ++S)
-        Before[S] = Stacks[S].Cells.size();
-      if (!runVisit(Child, Instr.VisitNo, Diags))
-        return false;
-      // Any cell surviving the child's visit belongs to its returned
-      // synthesized attributes; adopt them.
-      for (size_t S = 0; S != Stacks.size(); ++S)
-        for (size_t C = Before[S]; C < Stacks[S].Cells.size(); ++C)
-          if (!Stacks[S].Dead[C])
-            Deaths.push_back(
-                {static_cast<unsigned>(S), static_cast<unsigned>(C)});
-      break;
-    }
-    case VisitInstr::Op::Leave:
-      for (const PendingDeath &D : Deaths) {
-        StackGroup &G = Stacks[D.Group];
-        if (D.Index < G.Cells.size())
-          G.Dead[D.Index] = 1;
-      }
-      for (StackGroup &G : Stacks)
-        shrinkDeadSuffix(G);
-      return true;
-    case VisitInstr::Op::Begin:
-      assert(false && "BEGIN inside a visit body");
-      return false;
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Driver
 //===----------------------------------------------------------------------===//
 
 bool StorageEvaluator::evaluate(Tree &T, DiagnosticEngine &Diags) {
   FNC2_SPAN("storage.tree");
-  const AttributeGrammar &AG = *Plan.AG;
   TreeNode *Root = T.root();
   if (!Root) {
     Diags.error("cannot evaluate an empty tree");
     return false;
   }
   T.resetAttributes();
-  AttrCell.clear();
-  LocalCell.clear();
   Vars.assign(SA.NumVarGroups, Value());
   VarSet.assign(SA.NumVarGroups, 0);
   Stacks.assign(SA.NumStackGroups, StackGroup());
@@ -644,30 +360,18 @@ bool StorageEvaluator::evaluate(Tree &T, DiagnosticEngine &Diags) {
   countBaseline(Root);
 
   Root->PartitionId = Plan.RootPartition;
-  ensureNodeStorage(AG, Root);
+  CP->ensureFrame(Root);
 
   if (!installRootInherited(Root, Diags))
     return false;
 
-  if (!UseInterp) {
-    const CompiledSeq *Seq = CP->seqForNode(Root);
-    if (!Seq) {
-      Diags.error("no visit sequence for the root operator");
-      return false;
-    }
-    for (unsigned V = 1; V <= Seq->NumVisits; ++V)
-      if (!runCompiledVisit(Root, Seq, V, Diags))
-        return false;
-    return true;
-  }
-
-  const VisitSequence *Seq = Plan.find(Root->Prod, Root->PartitionId);
+  const CompiledSeq *Seq = CP->seqForNode(Root);
   if (!Seq) {
     Diags.error("no visit sequence for the root operator");
     return false;
   }
   for (unsigned V = 1; V <= Seq->NumVisits; ++V)
-    if (!runVisit(Root, V, Diags))
+    if (!runCompiledVisit(Root, Seq, V, Diags))
       return false;
   return true;
 }

@@ -18,12 +18,10 @@
 /// FNC-2 computes below-top access depths statically, which this dynamic
 /// bookkeeping generalizes while keeping reads assert-checked.
 ///
-/// By default the evaluator runs the CompiledPlan instruction stream with a
-/// CompiledStorage side table (classes and groups pre-resolved per rule and
-/// argument, cell indices in flat per-node arrays instead of hash maps,
-/// reusable death/mark buffers). The original hash-map interpreter is
-/// retained behind setUseInterpreted() / FNC2_INTERP_FALLBACK as a
-/// differential reference; both produce identical attributions and stats.
+/// The evaluator runs the CompiledPlan instruction stream with a
+/// CompiledStorage side table: classes and groups pre-resolved per rule and
+/// argument, cell indices in flat per-node arrays, reusable death and mark
+/// buffers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +32,6 @@
 #include "storage/Lifetime.h"
 #include "support/Metrics.h"
 #include "tree/Tree.h"
-
-#include <unordered_map>
 
 namespace fnc2 {
 
@@ -125,18 +121,13 @@ public:
   const StorageStats &stats() const { return Stats; }
   void resetStats() { Stats.reset(); }
 
-  /// Selects the interpreted hash-map walk instead of the compiled stream
-  /// (both produce identical attributions, stats and traces).
-  void setUseInterpreted(bool B) { UseInterp = B; }
-  bool usesInterpreted() const { return UseInterp; }
-
 private:
   struct StackGroup {
     std::vector<Value> Cells;
     std::vector<uint8_t> Dead;
   };
-  /// A cell yet to die at some LEAVE: stack group + index (or ~0u for the
-  /// degenerate case of tree/var storage, which has no death).
+  /// A stack cell yet to die at some LEAVE: its group and index. Only stack
+  /// writes record deaths; variables and tree cells have none.
   struct PendingDeath {
     unsigned Group;
     unsigned Index;
@@ -145,7 +136,6 @@ private:
   bool installRootInherited(TreeNode *Root, DiagnosticEngine &Diags);
   void countBaseline(TreeNode *Root);
 
-  // Compiled path.
   bool runCompiledVisit(TreeNode *N, const CompiledSeq *Seq, unsigned VisitNo,
                         DiagnosticEngine &Diags);
   bool execCompiledRule(TreeNode *N, uint32_t RI, size_t DeathBase,
@@ -156,22 +146,8 @@ private:
                  uint32_t Group, bool Dies, Value V);
   void mirrorWrite(TreeNode *N, const SlotRef &Ref, Value V);
 
-  // Interpreted fallback.
-  bool runVisit(TreeNode *N, unsigned VisitNo, DiagnosticEngine &Diags);
-  bool execRule(TreeNode *N, RuleId R, std::vector<PendingDeath> &Deaths,
-                DiagnosticEngine &Diags);
-  const Value *readOccStored(TreeNode *N, const AttrOcc &O);
-  void writeOccStored(TreeNode *N, const AttrOcc &O, Value V,
-                      std::vector<PendingDeath> &Deaths);
-
   void noteLiveCells();
   void shrinkDeadSuffix(StackGroup &G);
-
-  /// Per-node cell indices for stack-resident attributes and locals
-  /// (interpreted path only; the compiled path stamps flat per-node arrays
-  /// from CellIdxArena instead).
-  std::unordered_map<const TreeNode *, std::vector<int64_t>> AttrCell;
-  std::unordered_map<const TreeNode *, std::vector<int64_t>> LocalCell;
 
   const EvaluationPlan &Plan;
   const StorageAssignment &SA;
@@ -181,7 +157,6 @@ private:
   const CompiledStorage *CS;
   StorageStats Stats;
   bool MirrorToTree = false;
-  bool UseInterp;
   /// Root-inherited values indexed by AttrId.
   std::vector<Value> RootInhVals;
   std::vector<uint8_t> RootInhSet;
@@ -193,12 +168,10 @@ private:
 
   /// Reusable argument buffer; semantic functions see a span into it.
   std::vector<Value> ArgBuf;
-  /// Pending deaths of every active chunk, stacked: each compiled visit
-  /// records its base index on entry and truncates back at its LEAVE (the
-  /// interpreted path allocates a vector per chunk instead).
+  /// Pending deaths of every active chunk, stacked: each visit records its
+  /// base index on entry and truncates back at its LEAVE.
   std::vector<PendingDeath> DeathBuf;
-  /// Per-VISIT stack watermarks, stacked the same way (replaces the
-  /// per-VISIT "Before" allocation).
+  /// Per-VISIT stack watermarks, stacked the same way.
   std::vector<size_t> MarkBuf;
   /// Backing store for the nodes' CellIdx arrays, sized by the baseline
   /// walk; one entry per attribute/local slot, -1 = no cell yet.

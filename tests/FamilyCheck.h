@@ -137,43 +137,6 @@ inline void runStorage(const EngineContext &C) {
   }
 }
 
-// The interpreted VisitSequence walk (the FNC2_INTERP_FALLBACK path) must
-// match the compiled instruction stream attribution-for-attribution and
-// counter-for-counter: they are two executions of the same plan.
-inline void runInterp(const EngineContext &C) {
-  for (unsigned I = 0; I != C.numTrees(); ++I) {
-    Tree T = cloneTree(C.AG, C.Sources[I]);
-    Evaluator E(C.GE.Plan);
-    E.setUseInterpreted(true);
-    provideRootInherited(C.AG, E);
-    DiagnosticEngine D;
-    ASSERT_TRUE(E.evaluate(T, D)) << C.AG.Name << ": " << D.dump();
-    expectSameAttribution(C.AG, C.Reference[I].root(), T.root(),
-                          C.AG.Name + "/interp");
-    EXPECT_EQ(E.stats().RulesEvaluated, C.RefStats[I].RulesEvaluated)
-        << C.AG.Name << "/interp tree " << I;
-    EXPECT_EQ(E.stats().VisitsPerformed, C.RefStats[I].VisitsPerformed)
-        << C.AG.Name << "/interp tree " << I;
-  }
-}
-
-// Same check for the storage evaluator's interpreted fallback.
-inline void runStorageInterp(const EngineContext &C) {
-  for (unsigned I = 0; I != C.numTrees(); ++I) {
-    Tree T = cloneTree(C.AG, C.Sources[I]);
-    StorageEvaluator SE(C.GE.Plan, C.GE.Storage);
-    SE.setUseInterpreted(true);
-    SE.setMirrorToTree(true);
-    provideRootInherited(C.AG, SE);
-    DiagnosticEngine D;
-    ASSERT_TRUE(SE.evaluate(T, D)) << C.AG.Name << ": " << D.dump();
-    expectSameAttribution(C.AG, C.Reference[I].root(), T.root(),
-                          C.AG.Name + "/storage-interp");
-    EXPECT_EQ(SE.stats().RulesEvaluated, C.RefStats[I].RulesEvaluated)
-        << C.AG.Name << "/storage-interp tree " << I;
-  }
-}
-
 // Engines borrowing the artifact bundle's compiled state (only
 // when the generation carried one — cache hit or store).
 inline void runArtifactBorrowed(const EngineContext &C) {
@@ -360,8 +323,6 @@ inline std::span<const EngineSpec> engineFamily() {
   static constexpr EngineSpec Family[] = {
       {"demand", familydetail::runDemand},
       {"storage", familydetail::runStorage},
-      {"interp", familydetail::runInterp},
-      {"storage-interp", familydetail::runStorageInterp},
       {"artifact-borrowed", familydetail::runArtifactBorrowed},
       {"batch", familydetail::runBatch},
       {"batch-storage", familydetail::runBatchStorage},
