@@ -142,7 +142,7 @@ cmake --build "$SRC/build-asan" -j "$JOBS" \
                grammar_test tree_test
 (ulimit -s 65536 &&
  ctest --test-dir "$SRC/build-asan" --output-on-failure -j "$JOBS" \
-      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|ExprEval')
+      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|FrameArena|ExprEval')
 
 echo "== [5/5] ThreadSanitizer build + race gate =="
 cmake -B "$SRC/build-tsan" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -11,7 +11,8 @@
 /// tree, gives each tree its own DiagnosticEngine so a failing tree cannot
 /// poison the batch, and folds per-worker stats and the success count after
 /// the join. The engines differ only in what they compile once and how they
-/// build the per-tree engine from it.
+/// build the per-tree engine from it. Its root-inherited list type is also
+/// what DemandEvaluator and MergedBatchSession keep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,20 +43,32 @@ template <typename StatsT> struct BatchJoin {
   bool allSucceeded() const { return NumSucceeded == Outcomes.size(); }
 };
 
+/// Root inherited attribute values, one per attribute: setting an
+/// attribute again replaces its value. Iterates as (AttrId, Value) pairs.
+class RootInheritedList {
+public:
+  void set(AttrId A, Value V) {
+    for (auto &[Attr, Val] : Vals)
+      if (Attr == A) {
+        Val = std::move(V);
+        return;
+      }
+    Vals.emplace_back(A, std::move(V));
+  }
+  auto begin() const { return Vals.begin(); }
+  auto end() const { return Vals.end(); }
+
+private:
+  std::vector<std::pair<AttrId, Value>> Vals;
+};
+
 /// Batch driver over a per-tree engine \p EngineT (anything with
 /// setRootInherited(), evaluate(Tree &, DiagnosticEngine &) and stats())
 /// whose counters are \p StatsT.
 template <typename EngineT, typename StatsT> class PerTreeBatch {
 public:
   /// Root inherited attributes applied to every tree of the batch.
-  void setRootInherited(AttrId A, Value V) {
-    for (auto &[Attr, Val] : RootInh)
-      if (Attr == A) {
-        Val = std::move(V);
-        return;
-      }
-    RootInh.emplace_back(A, std::move(V));
-  }
+  void setRootInherited(AttrId A, Value V) { RootInh.set(A, std::move(V)); }
 
 protected:
   /// Evaluates every tree of \p Trees (which must be pairwise disjoint) on
@@ -92,7 +105,7 @@ protected:
   }
 
 private:
-  std::vector<std::pair<AttrId, Value>> RootInh;
+  RootInheritedList RootInh;
 };
 
 } // namespace fnc2

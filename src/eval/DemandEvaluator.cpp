@@ -58,15 +58,6 @@ void writeOcc(const AttributeGrammar &AG, TreeNode *N, const AttrOcc &O,
 
 } // namespace
 
-void DemandEvaluator::setRootInherited(AttrId A, Value V) {
-  for (auto &[Attr, Val] : RootInh)
-    if (Attr == A) {
-      Val = std::move(V);
-      return;
-    }
-  RootInh.emplace_back(A, std::move(V));
-}
-
 bool DemandEvaluator::runRule(TreeNode *N, RuleId R, DiagnosticEngine &Diags) {
   const SemanticRule &Rule = AG.rule(R);
   if (!Rule.Fn) {
@@ -152,7 +143,7 @@ bool DemandEvaluator::force(TreeNode *N, AttrId A, DiagnosticEngine &Diags) {
       Ok = runRule(Par, R, Diags);
   } else {
     // Root: externally provided.
-    for (auto &[Attr, Val] : RootInh)
+    for (const auto &[Attr, Val] : RootInh)
       if (Attr == A) {
         N->Slots[Idx] = Val;
         N->setSlotComputed(Idx);

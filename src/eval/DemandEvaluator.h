@@ -19,6 +19,7 @@
 #ifndef FNC2_EVAL_DEMANDEVALUATOR_H
 #define FNC2_EVAL_DEMANDEVALUATOR_H
 
+#include "eval/BatchDriver.h"
 #include "eval/Evaluator.h"
 #include "tree/Tree.h"
 
@@ -37,7 +38,7 @@ public:
     ArgBuf.resize(MaxArgs);
   }
 
-  void setRootInherited(AttrId A, Value V);
+  void setRootInherited(AttrId A, Value V) { RootInh.set(A, std::move(V)); }
 
   /// Forces every attribute instance of \p T. Returns false on run-time
   /// circularity, missing rules or missing root attributes.
@@ -56,7 +57,7 @@ private:
 
   const AttributeGrammar &AG;
   EvalStats Stats;
-  std::vector<std::pair<AttrId, Value>> RootInh;
+  RootInheritedList RootInh;
   /// In-progress markers for cycle detection: (node, attr index) pairs.
   std::vector<std::pair<const TreeNode *, unsigned>> InProgress;
   /// Reusable argument buffer (filled only after all forces complete, so

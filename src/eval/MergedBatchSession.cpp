@@ -49,12 +49,7 @@ MergedBatchSession::MergedBatchSession(const EvaluationPlan &Plan,
 
 void MergedBatchSession::setRootInherited(AttrId A, Value V) {
   RootLanesValid = false;
-  for (auto &[Attr, Val] : RootInh)
-    if (Attr == A) {
-      Val = std::move(V);
-      return;
-    }
-  RootInh.emplace_back(A, std::move(V));
+  RootInh.set(A, std::move(V));
 }
 
 //===----------------------------------------------------------------------===//

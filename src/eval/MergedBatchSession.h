@@ -348,7 +348,7 @@ private:
   ThreadPool &Pool;
   std::unique_ptr<const CompiledPlan> OwnedCP;
   const CompiledPlan *CP;
-  std::vector<std::pair<AttrId, Value>> RootInh;
+  RootInheritedList RootInh;
   CohortKernel *Kernel = nullptr;
   unsigned CohortThreshold = 4;
   /// 256 balances lane-stride cache footprint against per-shard setup on

@@ -97,15 +97,22 @@ static GeneratedEvaluator runCascade(const AttributeGrammar &AG,
 GeneratedEvaluator fnc2::generateEvaluator(const AttributeGrammar &AG,
                                            DiagnosticEngine &Diags,
                                            GeneratorOptions Opts) {
+  const uint64_t Key =
+      Opts.CacheDir.empty() ? 0 : ArtifactCache::artifactKey(AG, Opts);
+  return generateEvaluator(AG, Diags, std::move(Opts), Key);
+}
+
+GeneratedEvaluator fnc2::generateEvaluator(const AttributeGrammar &AG,
+                                           DiagnosticEngine &Diags,
+                                           GeneratorOptions Opts,
+                                           uint64_t Key) {
   FNC2_SPAN("generate");
   if (Opts.CacheDir.empty())
     return runCascade(AG, Diags, Opts);
 
   ArtifactCache Cache(Opts.CacheDir);
-  uint64_t Key; // hashed once: a miss reuses it for the store
   {
     FNC2_SPAN("cache.load");
-    Key = ArtifactCache::artifactKey(AG, Opts);
     GeneratedEvaluator Cached;
     std::string Reason;
     switch (Cache.load(AG, Opts, Key, Cached, Reason)) {

@@ -145,7 +145,7 @@ GrammarRegistry::registerSource(const std::string &Source, unsigned OagK,
   {
     FNC2_SPAN("service.registry.generate");
     DiagnosticEngine Diags;
-    Pending->Gen = generateEvaluator(*Pending->AG, Diags, Opts);
+    Pending->Gen = generateEvaluator(*Pending->AG, Diags, Opts, Key);
     if (!Pending->Gen.Success) {
       std::string Why = "register: generation failed: " + Diags.dump();
       {

@@ -27,10 +27,14 @@ std::pair<Value *, uint64_t *> FrameArena::allocFrame(unsigned NumVals,
       size_t(NumVals) * sizeof(Value) + size_t(NumWords) * sizeof(uint64_t);
   Chunk *C = Chunks.empty() ? nullptr : &Chunks.back();
   if (!C || C->Cap - C->Used < Bytes) {
-    constexpr size_t MinChunk = 64 * 1024;
+    // Chunks grow with the tree: a small first chunk, each later one double
+    // the last up to the cap, and an oversized frame gets its own chunk.
+    // No zero-fill: every Value and bitmap word is initialised below.
+    constexpr size_t FirstChunk = 512, MaxChunk = 64 * 1024;
     Chunk Fresh;
-    Fresh.Cap = std::max(MinChunk, Bytes);
-    Fresh.Mem = std::make_unique<std::byte[]>(Fresh.Cap);
+    Fresh.Cap = std::max(C ? std::min(2 * C->Cap, MaxChunk) : FirstChunk,
+                         Bytes);
+    Fresh.Mem = std::make_unique_for_overwrite<std::byte[]>(Fresh.Cap);
     Chunks.push_back(std::move(Fresh));
     C = &Chunks.back();
   }
@@ -44,6 +48,13 @@ std::pair<Value *, uint64_t *> FrameArena::allocFrame(unsigned NumVals,
   if (NumVals)
     Frames.emplace_back(Vals, NumVals);
   return {Vals, Words};
+}
+
+size_t FrameArena::reservedBytes() const {
+  size_t Total = 0;
+  for (const Chunk &C : Chunks)
+    Total += C.Cap;
+  return Total;
 }
 
 void TreeNode::allocFrameSlow(unsigned NumAttrs, unsigned NumLocals) {

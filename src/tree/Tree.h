@@ -30,7 +30,9 @@ namespace fnc2 {
 
 /// Bump allocator for attribute frames. One arena per Tree; frames live
 /// until the arena dies, so detached subtrees stay readable as long as any
-/// node still references the arena (nodes hold it by shared_ptr).
+/// node still references the arena (nodes hold it by shared_ptr). Frames
+/// never move. Chunks start small and double up to a cap, so a small tree
+/// holds a small arena.
 ///
 /// Not thread-safe: each tree (and therefore each batch worker, which owns
 /// disjoint trees) allocates from its own arena.
@@ -45,6 +47,9 @@ public:
   /// \p NumWords zeroed bitmap words, contiguously.
   std::pair<Value *, uint64_t *> allocFrame(unsigned NumVals,
                                             unsigned NumWords);
+
+  /// Bytes of chunk memory held, used or not.
+  size_t reservedBytes() const;
 
 private:
   struct Chunk {

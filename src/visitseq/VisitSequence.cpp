@@ -4,13 +4,6 @@
 
 using namespace fnc2;
 
-const VisitSequence *EvaluationPlan::find(ProdId P, unsigned Part) const {
-  auto It = SeqIndex[P].find(Part);
-  if (It == SeqIndex[P].end())
-    return nullptr;
-  return &Seqs[It->second];
-}
-
 static bool buildOneSequence(const AttributeGrammar &AG,
                              const TransformResult &Transform, ProdId P,
                              const TransformInstance &Inst, VisitSequence &Seq,

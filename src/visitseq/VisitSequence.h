@@ -65,7 +65,7 @@ struct VisitSequence {
 /// buildVisitSequences() (and the storage optimizer reading alongside it),
 /// and is strictly read-only afterwards. Every evaluator — exhaustive,
 /// demand, storage-optimized, incremental and the batch engine — takes it by
-/// const reference and the read path (find(), the sequences, the grammar's
+/// const reference and the read path (the sequences, the grammar's
 /// semantic function table) performs no hidden mutation, so one plan is
 /// safely shared by any number of threads evaluating disjoint trees. The
 /// only mutable state reachable through a plan is the runtime
@@ -82,10 +82,6 @@ struct EvaluationPlan {
   /// Structural equality; AG compares by address (two plans for one live
   /// grammar), which is what the artifact round-trip test wants.
   bool operator==(const EvaluationPlan &) const = default;
-
-  /// Finds the sequence for production \p P under LHS partition \p Part;
-  /// nullptr when that pair was never generated.
-  const VisitSequence *find(ProdId P, unsigned Part) const;
 
   /// Total number of visit sequences (the evaluator size metric the paper's
   /// partition-count optimization targets).

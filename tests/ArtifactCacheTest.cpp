@@ -229,6 +229,39 @@ TEST(ArtifactCacheTest, GeneratorMissStoreHitFlow) {
   runFamily(AG, Warm, 3, 100, 11);
 }
 
+TEST(ArtifactCacheTest, KeyedAndKeylessGenerationShareOneArtifact) {
+  DiagnosticEngine Diags;
+  AttributeGrammar AG = workloads::deskCalculator(Diags);
+  ASSERT_FALSE(Diags.hasErrors());
+  GeneratorOptions Opts;
+  const uint64_t Key = ArtifactCache::artifactKey(AG, Opts);
+
+  // Either entry point stores the file the other one then hits.
+  for (bool KeyedFirst : {true, false}) {
+    Opts.CacheDir = freshCacheDir(KeyedFirst ? "keyed" : "keyless");
+    const std::string Path = ArtifactCache(Opts.CacheDir).pathFor(Key);
+    auto Generate = [&](bool Keyed) {
+      DiagnosticEngine D;
+      GeneratedEvaluator G = Keyed ? generateEvaluator(AG, D, Opts, Key)
+                                   : generateEvaluator(AG, D, Opts);
+      EXPECT_TRUE(G.Success) << D.dump();
+      return G;
+    };
+    GeneratedEvaluator Cold = Generate(KeyedFirst);
+    EXPECT_FALSE(Cold.FromCache);
+    ASSERT_TRUE(fs::exists(Path)) << "stored under artifactKey's file name";
+    const std::vector<uint8_t> Stored = readFile(Path);
+
+    GeneratedEvaluator Warm = Generate(!KeyedFirst);
+    EXPECT_TRUE(Warm.FromCache);
+    EXPECT_TRUE(Cold.Plan == Warm.Plan);
+    EXPECT_EQ(std::distance(fs::directory_iterator(Opts.CacheDir),
+                            fs::directory_iterator()),
+              1);
+    EXPECT_EQ(readFile(Path), Stored) << "a hit leaves the file untouched";
+  }
+}
+
 TEST(ArtifactCacheTest, KeySeparatesGrammarsAndOptions) {
   DiagnosticEngine Diags;
   AttributeGrammar Desk = workloads::deskCalculator(Diags);

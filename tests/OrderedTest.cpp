@@ -1,6 +1,7 @@
 //===- tests/OrderedTest.cpp - partitions & transformation tests ----------===//
 
 #include "analysis/Oag.h"
+#include "eval/CompiledPlan.h"
 #include "ordered/Transform.h"
 #include "visitseq/VisitSequence.h"
 #include "workloads/ClassicGrammars.h"
@@ -175,16 +176,18 @@ TEST(VisitSeqTest, DeskCalculatorSingleVisitShape) {
   ASSERT_TRUE(buildVisitSequences(AG, TR, Plan, D)) << D.dump();
   EXPECT_EQ(Plan.numSequences(), AG.numProds());
 
-  const VisitSequence *Add = Plan.find(AG.findProd("Add"), 0);
+  CompiledPlan CP(Plan);
+  const CompiledSeq *Add = CP.seqFor(AG.findProd("Add"), 0);
   ASSERT_NE(Add, nullptr);
   EXPECT_EQ(Add->NumVisits, 1u);
-  // Shape: BEGIN, ... two child visits, evals ..., LEAVE.
-  EXPECT_EQ(Add->Instrs.front().Kind, VisitInstr::Op::Begin);
-  EXPECT_EQ(Add->Instrs.back().Kind, VisitInstr::Op::Leave);
+  // Shape: one body (BEGIN is compiled away) of evals and two child visits,
+  // ending in the LEAVE of visit 1.
+  uint32_t I = CP.bodyStart(*Add, 1);
   unsigned Visits = 0;
-  for (const VisitInstr &I : Add->Instrs)
-    Visits += I.Kind == VisitInstr::Op::Visit;
+  for (; CP.Instrs[I].Kind != CompiledInstr::Op::Leave; ++I)
+    Visits += CP.Instrs[I].Kind == CompiledInstr::Op::Visit;
   EXPECT_EQ(Visits, 2u);
+  EXPECT_EQ(CP.Instrs[I].VisitNo, 1u);
 }
 
 TEST(VisitSeqTest, EveryRuleEvaluatedExactlyOnce) {

@@ -1,5 +1,7 @@
 //===- tests/TreeTest.cpp - attributed tree unit tests --------------------===//
 
+#include "eval/Evaluator.h"
+#include "fnc2/Generator.h"
 #include "tree/Tree.h"
 #include "tree/TreeGen.h"
 #include "workloads/ClassicGrammars.h"
@@ -170,6 +172,146 @@ TEST(TreeGenGrammars, GeneratesForAllClassicGrammars) {
     EXPECT_TRUE(T.validate(D)) << AG.Name << ": " << D.dump();
     EXPECT_GE(T.size(), 2u) << AG.Name;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// FrameArena: chunks grow with the tree, frames never move, and fresh frames
+// are initialised even though chunk memory is not zero-filled.
+//===----------------------------------------------------------------------===//
+
+constexpr size_t kMaxChunk = 64 * 1024;
+
+/// Desk grammar and its evaluator, for the tests that evaluate real trees.
+class FrameArenaTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    AG = workloads::deskCalculator(Diags);
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
+    GE = generateEvaluator(AG, Diags);
+    ASSERT_TRUE(GE.Success) << Diags.dump();
+  }
+  Tree evaluated(const char *Term) {
+    DiagnosticEngine D;
+    Tree T = readTerm(AG, Term, D);
+    Evaluator E(GE.Plan);
+    EXPECT_TRUE(E.evaluate(T, D)) << D.dump();
+    return T;
+  }
+  DiagnosticEngine Diags;
+  AttributeGrammar AG{};
+  GeneratedEvaluator GE;
+};
+
+TEST_F(FrameArenaTest, FramesStayIntactAcrossChunkBoundaries) {
+  FrameArena A;
+  struct Frame {
+    Value *Vals;
+    uint64_t *Words;
+  };
+  std::vector<Frame> Frames;
+  // 3 Values + 1 word per frame: 4000 frames cross every doubling step
+  // from the first chunk up to several capped ones.
+  for (unsigned I = 0; I != 4000; ++I) {
+    auto [Vals, Words] = A.allocFrame(3, 1);
+    for (unsigned S = 0; S != 3; ++S)
+      Vals[S] = Value::ofInt(int64_t(I) * 3 + S);
+    Words[0] = ~uint64_t(I);
+    Frames.push_back({Vals, Words});
+  }
+  EXPECT_GT(A.reservedBytes(), 3 * kMaxChunk);
+  for (unsigned I = 0; I != Frames.size(); ++I) {
+    for (unsigned S = 0; S != 3; ++S)
+      ASSERT_EQ(Frames[I].Vals[S].asInt(), int64_t(I) * 3 + S) << I;
+    ASSERT_EQ(Frames[I].Words[0], ~uint64_t(I)) << I;
+    // The bitmap words follow the frame's Value run directly.
+    ASSERT_EQ(static_cast<void *>(Frames[I].Vals + 3),
+              static_cast<void *>(Frames[I].Words));
+  }
+}
+
+TEST_F(FrameArenaTest, OversizedFrameGetsItsOwnChunk) {
+  FrameArena A;
+  auto [Small, SmallWords] = A.allocFrame(2, 1);
+  Small[1] = Value::ofInt(7);
+  SmallWords[0] = 2;
+  const size_t Before = A.reservedBytes();
+
+  constexpr unsigned Big = kMaxChunk / sizeof(Value) + 1000;
+  constexpr unsigned BigWords = (Big + 63) / 64;
+  auto [Vals, Words] = A.allocFrame(Big, BigWords);
+  EXPECT_EQ(A.reservedBytes() - Before,
+            Big * sizeof(Value) + BigWords * sizeof(uint64_t));
+  for (unsigned S = 0; S != Big; ++S)
+    ASSERT_TRUE(Vals[S].isUnit()) << S;
+  for (unsigned W = 0; W != BigWords; ++W)
+    ASSERT_EQ(Words[W], 0u) << W;
+  Vals[Big - 1] = Value::ofInt(9);
+  Words[BigWords - 1] = 1;
+
+  auto [After, AfterWords] = A.allocFrame(2, 1);
+  After[0] = Value::ofInt(11);
+  EXPECT_EQ(AfterWords[0], 0u);
+  EXPECT_EQ(Small[1].asInt(), 7);
+  EXPECT_EQ(SmallWords[0], 2u);
+  EXPECT_EQ(Vals[Big - 1].asInt(), 9);
+  EXPECT_EQ(Words[BigWords - 1], 1u);
+}
+
+TEST_F(FrameArenaTest, FreshFramesAreInitialisedOnRecycledMemory) {
+  // Each round's arena is likely to get the previous round's freed chunks
+  // back from the allocator, left full of non-default Values and set bits.
+  for (unsigned Round = 0; Round != 4; ++Round) {
+    FrameArena A;
+    for (unsigned I = 0; I != 600; ++I) {
+      auto [Vals, Words] = A.allocFrame(5, 2);
+      for (unsigned S = 0; S != 5; ++S)
+        ASSERT_TRUE(Vals[S].isUnit()) << Round << ' ' << I << ' ' << S;
+      ASSERT_EQ(Words[0], 0u);
+      ASSERT_EQ(Words[1], 0u);
+      for (unsigned S = 0; S != 5; ++S)
+        Vals[S] = Value::ofString("garbage");
+      Words[0] = Words[1] = ~uint64_t(0);
+    }
+  }
+}
+
+TEST_F(FrameArenaTest, DestroyingTheArenaReleasesItsValues) {
+  const std::string Probe = "frame-arena-release-probe";
+  const std::shared_ptr<const std::string> Interned = internString(Probe);
+  const long Base = Interned.use_count();
+  {
+    FrameArena A;
+    for (unsigned I = 0; I != 200; ++I) {
+      auto [Vals, Words] = A.allocFrame(4, 1);
+      Vals[I % 4] = Value::ofString(Probe);
+    }
+    EXPECT_EQ(Interned.use_count(), Base + 200);
+  }
+  EXPECT_EQ(Interned.use_count(), Base);
+}
+
+TEST_F(FrameArenaTest, SmallTreeReservesAtMostOneKiB) {
+  Tree T = evaluated("Calc(Add(Num<1>,Mul(Num<2>,Num<3>)))");
+  ASSERT_EQ(T.size(), 6u);
+  EXPECT_EQ(T.root()->attrVal(0).asInt(), 7);
+  const size_t Reserved = T.root()->Arena->reservedBytes();
+  EXPECT_GT(Reserved, 0u);
+  EXPECT_LE(Reserved, 1024u);
+}
+
+TEST_F(FrameArenaTest, DetachedSubtreeOutlivesItsTree) {
+  const AttrId Val = AG.findAttr(AG.findPhylum("Exp"), "val");
+  const unsigned ValSlot = AG.attr(Val).IndexInOwner;
+  std::unique_ptr<TreeNode> Detached;
+  {
+    Tree T = evaluated("Calc(Add(Num<1>,Mul(Num<2>,Num<3>)))");
+    Detached = T.replaceSubtree(T.root()->child(0),
+                                T.makeLeaf(AG.findProd("Num"), Value::ofInt(0)));
+  }
+  ASSERT_TRUE(Detached->hasFrame());
+  EXPECT_EQ(Detached->attrVal(ValSlot).asInt(), 7);
+  EXPECT_EQ(Detached->child(1)->attrVal(ValSlot).asInt(), 6);
+  EXPECT_EQ(Detached->child(1)->child(1)->attrVal(ValSlot).asInt(), 3);
 }
 
 } // namespace
