@@ -15,6 +15,7 @@
 #include "eval/BatchEvaluator.h"
 #include "fnc2/Generator.h"
 #include "incremental/Incremental.h"
+#include "storage/StorageEvaluator.h"
 #include "support/Trace.h"
 #include "tree/TreeGen.h"
 #include "workloads/ClassicGrammars.h"
@@ -223,6 +224,30 @@ TEST(TraceGolden, DeskCalculatorPipeline) {
 
   EXPECT_EQ(C.threadCount(), 1u);
   checkGolden("trace_desk.golden", C.summary());
+}
+
+// The storage-optimized evaluator on the same desk tree: the nesting of
+// storage.visit spans and the per-rule and eliminated-copy counters inside
+// them. The generator and the evaluator's plan compilation run outside the
+// collector, so only the evaluation is pinned.
+TEST(TraceGolden, DeskStorageEvaluation) {
+  DiagnosticEngine Diags;
+  AttributeGrammar AG = workloads::deskCalculator(Diags);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
+  DiagnosticEngine GD;
+  GeneratedEvaluator GE = generateEvaluator(AG, GD);
+  ASSERT_TRUE(GE.Success) << GD.dump();
+  StorageEvaluator SE(GE.Plan, GE.Storage);
+  DiagnosticEngine D;
+  Tree T = readTerm(AG, "Calc(Add(Num<1>,Mul(Num<2>,Num<3>)))", D);
+
+  trace::TraceCollector C;
+  C.install();
+  ASSERT_TRUE(SE.evaluate(T, D)) << D.dump();
+  C.uninstall();
+
+  EXPECT_EQ(C.threadCount(), 1u);
+  checkGolden("trace_desk_storage.golden", C.summary());
 }
 
 // An incremental session on repmin: initial evaluation, a minimum-lowering
