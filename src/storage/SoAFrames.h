@@ -30,7 +30,6 @@
 #ifndef FNC2_STORAGE_SOAFRAMES_H
 #define FNC2_STORAGE_SOAFRAMES_H
 
-#include "tree/Tree.h"
 #include "value/Value.h"
 
 #include <cassert>
@@ -39,19 +38,6 @@
 #include <vector>
 
 namespace fnc2 {
-
-/// Appends \p Root's subtree to \p Out in level order (BFS). Children of
-/// position P start at 1 + sum of the arities of positions before P, so a
-/// cohort shape's FirstChild table maps (position, son index) to the son's
-/// position in O(1). Shared by the merged engine's cohort walks and the
-/// storage evaluator's baseline count.
-inline void appendLevelOrder(TreeNode *Root, std::vector<TreeNode *> &Out) {
-  const size_t First = Out.size();
-  Out.push_back(Root);
-  for (size_t I = First; I != Out.size(); ++I)
-    for (auto &C : Out[I]->Children)
-      Out.push_back(C.get());
-}
 
 /// One cohort's worth of SoA frames. layout() sizes it for a (shape,
 /// members) pair; the same arena object is reused across cohort shards so

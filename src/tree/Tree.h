@@ -100,6 +100,13 @@ struct TreeNode {
   /// object if a detached subtree does.
   std::shared_ptr<FrameArena> Arena;
 
+  TreeNode() = default;
+  /// Tears the subtree down iteratively, so a deep tree does not recurse
+  /// once per level through the Children destructors.
+  ~TreeNode();
+  TreeNode(const TreeNode &) = delete;
+  TreeNode &operator=(const TreeNode &) = delete;
+
   TreeNode *child(unsigned I) const { return Children[I].get(); }
   unsigned arity() const { return static_cast<unsigned>(Children.size()); }
 
@@ -153,6 +160,45 @@ struct TreeNode {
 private:
   void allocFrameSlow(unsigned NumAttrs, unsigned NumLocals);
 };
+
+/// Calls \p F on every node of \p Root's subtree in preorder. Iterative and
+/// allocation-free: it climbs back through the Parent/IndexInParent links,
+/// which every tree-building operation keeps (Tree::validate checks them).
+template <typename NodeT, typename FnT> void forEachPreorder(NodeT *Root, FnT F) {
+  NodeT *N = Root;
+  for (;;) {
+    F(N);
+    if (N->arity() != 0) {
+      N = N->child(0);
+      continue;
+    }
+    // Climb to the nearest ancestor (within the subtree) with a next son.
+    for (;;) {
+      if (N == Root)
+        return;
+      NodeT *P = N->Parent;
+      const unsigned Next = N->IndexInParent + 1;
+      if (Next != P->arity()) {
+        N = P->child(Next);
+        break;
+      }
+      N = P;
+    }
+  }
+}
+
+/// Appends \p Root's subtree to \p Out in level order (BFS). Children of
+/// position P start at 1 + sum of the arities of positions before P, so a
+/// cohort shape's FirstChild table maps (position, son index) to the son's
+/// position in O(1). Shared by the merged engine's cohort tests and the
+/// storage evaluator's baseline count.
+inline void appendLevelOrder(TreeNode *Root, std::vector<TreeNode *> &Out) {
+  const size_t First = Out.size();
+  Out.push_back(Root);
+  for (size_t I = First; I != Out.size(); ++I)
+    for (auto &C : Out[I]->Children)
+      Out.push_back(C.get());
+}
 
 /// Owns a tree over a fixed grammar and provides constructors/validation.
 class Tree {
