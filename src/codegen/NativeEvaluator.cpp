@@ -71,13 +71,9 @@ bool NativeEvaluator::evaluate(Tree &T, DiagnosticEngine &Diags) {
 
   // Reconstruct the interpreted engines' diagnostics from the failure
   // report. The only native failure is a missing visit sequence.
-  if (Ctx.Fail == FailKind::NoSequence && Ctx.FailNode == Root) {
-    Diags.error("no visit sequence for the root operator");
-  } else if (Ctx.Fail == FailKind::NoSequence && Ctx.FailNode) {
-    Diags.error("no visit sequence for operator '" +
-                CP.grammar().prod(Ctx.FailNode->Prod).Name +
-                "' under partition " +
-                std::to_string(Ctx.FailNode->PartitionId));
+  if (Ctx.Fail == FailKind::NoSequence && Ctx.FailNode) {
+    Diags.error(CP.missingSeqMessage(Ctx.FailNode->Prod,
+                                     Ctx.FailNode->PartitionId));
   } else {
     Diags.error("native evaluation failed");
   }

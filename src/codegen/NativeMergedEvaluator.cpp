@@ -41,16 +41,10 @@ bool NativeCohortKernel::run(const Shard &S, MergedStats &WS,
     return true;
 
   // Rephrase the failure report as the interpreted merged engine's
-  // diagnostics (the host checked the root sequence before calling, so a
-  // root failure here is defensive only).
+  // diagnostic.
   if (Ctx.Fail == FailKind::NoSequence && Ctx.FailPos) {
     const uint32_t Idx = Ctx.FailPos->Index;
-    if (Idx == 0)
-      FailMsg = "no visit sequence for the root operator";
-    else
-      FailMsg = "no visit sequence for operator '" +
-                CP.grammar().prod(Sh.Prods[Idx]).Name + "' under partition " +
-                std::to_string(S.PartitionAt[Idx]);
+    FailMsg = CP.missingSeqMessage(Sh.Prods[Idx], S.PartitionAt[Idx]);
   } else {
     FailMsg = "native cohort evaluation failed";
   }

@@ -6,6 +6,11 @@
 
 using namespace fnc2;
 
+std::string CompiledPlan::missingSeqMessage(ProdId P, unsigned Part) const {
+  return "no visit sequence for operator '" + grammar().prod(P).Name +
+         "' under partition " + std::to_string(Part);
+}
+
 uint64_t fnc2::planFingerprint(const CompiledPlan &CP) {
   // FNV-1a, inlined so the eval layer does not depend on serialize/.
   uint64_t H = 0xcbf29ce484222325ull;

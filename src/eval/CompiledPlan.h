@@ -118,6 +118,11 @@ public:
     return I < 0 ? nullptr : &Seqs[static_cast<size_t>(I)];
   }
 
+  /// The one diagnostic for a missing sequence: no compiled sequence of
+  /// production \p P under partition \p Part, where seqFor(P, Part) is null.
+  /// Every engine, native included, reports exactly this text.
+  std::string missingSeqMessage(ProdId P, unsigned Part) const;
+
   /// Cached per-node lookup. Caches are nulled by Tree::resetAttributes(),
   /// and within one evaluation only a single plan touches the tree, so a
   /// non-null cache with a matching partition is this plan's.

@@ -171,9 +171,9 @@ struct CohortSet {
 /// Replaces the interpreted shadow walk of one cohort shard with an
 /// external implementation (the native backend's compiled SoA kernels,
 /// codegen/NativeMergedEvaluator.h). The pipeline still performs cohort
-/// formation, lane layout, lexeme and root-inherited fill, the root
-/// sequence check and scatter-back; the kernel only runs the visit loop
-/// over the laid-out lanes. Implementations must be thread-safe: shards
+/// formation, lane layout, lexeme and root-inherited fill and
+/// scatter-back; the kernel runs the visits over the laid-out lanes,
+/// starting with the root's sequence lookup. Implementations must be thread-safe: shards
 /// run concurrently on the pool with one run() call each.
 class CohortKernel {
 public:
@@ -335,10 +335,9 @@ private:
   /// Drops every pointer into the bound trees; capacity is kept.
   void release();
 
-  bool runMergedVisit(const CohortShape &Shape, size_t Pos,
-                      const CompiledSeq *Seq, unsigned VisitNo,
-                      unsigned NumMembers, Shard &S, MergedStats &WS,
-                      std::string &FailMsg);
+  /// The visit-driver policy over cohort positions (eval/VisitDriver.h).
+  struct Walk;
+
   bool execMergedRule(const CohortShape &Shape, size_t Pos,
                       const CompiledRule &R, unsigned NumMembers, Shard &S,
                       std::string &FailMsg);

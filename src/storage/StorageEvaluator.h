@@ -133,11 +133,12 @@ private:
     unsigned Index;
   };
 
+  /// The visit-driver policy (eval/VisitDriver.h).
+  struct Walk;
+
   bool installRootInherited(TreeNode *Root, DiagnosticEngine &Diags);
   void countBaseline(TreeNode *Root);
 
-  bool runCompiledVisit(TreeNode *N, const CompiledSeq *Seq, unsigned VisitNo,
-                        DiagnosticEngine &Diags);
   bool execCompiledRule(TreeNode *N, uint32_t RI, size_t DeathBase,
                         DiagnosticEngine &Diags);
   const Value *readSlot(TreeNode *N, const SlotRef &Ref,
@@ -171,7 +172,8 @@ private:
   /// Pending deaths of every active chunk, stacked: each visit records its
   /// base index on entry and truncates back at its LEAVE.
   std::vector<PendingDeath> DeathBuf;
-  /// Per-VISIT stack watermarks, stacked the same way.
+  /// Per-VISIT stack watermarks, stacked the same way: a VISIT pushes one
+  /// per stack group and its return pops them.
   std::vector<size_t> MarkBuf;
   /// Backing store for the nodes' CellIdx arrays, sized by the baseline
   /// walk; one entry per attribute/local slot, -1 = no cell yet.

@@ -7,9 +7,11 @@
 /// \file
 /// Low-overhead structured tracing for the whole pipeline. The generator
 /// cascade, the GFA fixpoints and every evaluator are instrumented with the
-/// three macros at the bottom of this file:
+/// macros at the bottom of this file:
 ///
-///   FNC2_SPAN("eval.visit");          // scoped begin/end pair (RAII)
+///   FNC2_SPAN("eval.tree");           // scoped begin/end pair (RAII)
+///   bool L = FNC2_SPAN_BEGIN("eval.visit");  // explicit pair, for spans
+///   FNC2_SPAN_END("eval.visit", L);          // that are not a C++ scope
 ///   FNC2_COUNT("inc.rules_skipped", 1);  // monotone counter increment
 ///   FNC2_INSTANT("eval.EVAL", NRules);   // point event with a value
 ///
@@ -197,19 +199,29 @@ inline void instant(const char *Name, uint64_t Value) {
     detail::emit(Name, TraceEvent::Phase::Instant, Value);
 }
 
-/// RAII span. Captures enabledness at construction so a span that started
-/// while tracing was on always closes its Begin even if uninstall() raced
-/// — which the quiescence contract forbids anyway, but cheap to be safe.
+/// Opens span \p Name and returns whether it opened (tracing was on); the
+/// matching spanEnd() takes that answer, so a span that began while tracing
+/// was on always closes, even if uninstall() raced (which the quiescence
+/// contract forbids anyway). For spans whose extent is not a C++ scope,
+/// such as the visit driver's per-frame spans.
+inline bool spanBegin(const char *Name) {
+  if (!enabled())
+    return false;
+  detail::emit(Name, TraceEvent::Phase::Begin, 0);
+  return true;
+}
+
+/// Closes the span that spanBegin(\p Name) opened when \p Live.
+inline void spanEnd(const char *Name, bool Live) {
+  if (Live)
+    detail::emit(Name, TraceEvent::Phase::End, 0);
+}
+
+/// RAII span over spanBegin()/spanEnd().
 class ScopedSpan {
 public:
-  explicit ScopedSpan(const char *Name) : Name(Name), Live(enabled()) {
-    if (Live)
-      detail::emit(Name, TraceEvent::Phase::Begin, 0);
-  }
-  ~ScopedSpan() {
-    if (Live)
-      detail::emit(Name, TraceEvent::Phase::End, 0);
-  }
+  explicit ScopedSpan(const char *Name) : Name(Name), Live(spanBegin(Name)) {}
+  ~ScopedSpan() { spanEnd(Name, Live); }
   ScopedSpan(const ScopedSpan &) = delete;
   ScopedSpan &operator=(const ScopedSpan &) = delete;
 
@@ -236,6 +248,12 @@ private:
 #define FNC2_SPAN(NAME)                                                        \
   ::fnc2::trace::ScopedSpan FNC2_TRACE_CONCAT(Fnc2Span_, __LINE__)(NAME)
 
+/// Opens span NAME outside any scope; yields the bool FNC2_SPAN_END takes.
+#define FNC2_SPAN_BEGIN(NAME) ::fnc2::trace::spanBegin(NAME)
+
+/// Closes a span FNC2_SPAN_BEGIN(NAME) opened, given its result LIVE.
+#define FNC2_SPAN_END(NAME, LIVE) ::fnc2::trace::spanEnd(NAME, (LIVE))
+
 /// Increments counter NAME by DELTA.
 #define FNC2_COUNT(NAME, DELTA) ::fnc2::trace::count(NAME, (DELTA))
 
@@ -245,6 +263,8 @@ private:
 #else
 
 #define FNC2_SPAN(NAME) ((void)0)
+#define FNC2_SPAN_BEGIN(NAME) false
+#define FNC2_SPAN_END(NAME, LIVE) ((void)(LIVE))
 #define FNC2_COUNT(NAME, DELTA) ((void)0)
 #define FNC2_INSTANT(NAME, VALUE) ((void)0)
 
