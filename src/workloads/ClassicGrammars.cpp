@@ -19,9 +19,12 @@ AttributeGrammar workloads::deskCalculator(DiagnosticEngine &Diags) {
   AttrId Env = B.inherited(Exp, "env", "map");
   AttrId Val = B.synthesized(Exp, "val", "int");
 
+  // Integer arithmetic wraps (two's complement, through uint64_t) rather
+  // than overflowing; the native source strings spell the same operation.
   auto binOp = [](auto Op) {
     return [Op](std::span<const Value> A) {
-      return Value::ofInt(Op(A[0].asInt(), A[1].asInt()));
+      return Value::ofInt(
+          int64_t(Op(uint64_t(A[0].asInt()), uint64_t(A[1].asInt()))));
     };
   };
 
@@ -52,16 +55,16 @@ AttributeGrammar workloads::deskCalculator(DiagnosticEngine &Diags) {
   // Add/Sub/Mul(Exp, Exp) -> Exp; environments auto-copied.
   ProdId Add = B.production("Add", Exp, {Exp, Exp});
   B.native(B.rule(Add, occ(0, Val), {occ(1, Val), occ(2, Val)}, "add",
-                  binOp([](int64_t X, int64_t Y) { return X + Y; })),
-           "Value::ofInt(a0.asInt() + a1.asInt())");
+                  binOp([](uint64_t X, uint64_t Y) { return X + Y; })),
+           "Value::ofInt(int64_t(uint64_t(a0.asInt()) + uint64_t(a1.asInt())))");
   ProdId Sub = B.production("Sub", Exp, {Exp, Exp});
   B.native(B.rule(Sub, occ(0, Val), {occ(1, Val), occ(2, Val)}, "sub",
-                  binOp([](int64_t X, int64_t Y) { return X - Y; })),
-           "Value::ofInt(a0.asInt() - a1.asInt())");
+                  binOp([](uint64_t X, uint64_t Y) { return X - Y; })),
+           "Value::ofInt(int64_t(uint64_t(a0.asInt()) - uint64_t(a1.asInt())))");
   ProdId Mul = B.production("Mul", Exp, {Exp, Exp});
   B.native(B.rule(Mul, occ(0, Val), {occ(1, Val), occ(2, Val)}, "mul",
-                  binOp([](int64_t X, int64_t Y) { return X * Y; })),
-           "Value::ofInt(a0.asInt() * a1.asInt())");
+                  binOp([](uint64_t X, uint64_t Y) { return X * Y; })),
+           "Value::ofInt(int64_t(uint64_t(a0.asInt()) * uint64_t(a1.asInt())))");
 
   // Let<"name">(bound, body) -> Exp
   ProdId Let = B.production("Let", Exp, {Exp, Exp}, /*HasLexeme=*/true,
@@ -81,8 +84,13 @@ AttributeGrammar workloads::deskCalculator(DiagnosticEngine &Diags) {
 
 AttributeGrammar workloads::binaryNumbers(DiagnosticEngine &Diags) {
   // Values are fixed-point in 1/1024 units so the fractional part stays
-  // integral: bit at scale s contributes 2^(10+s), -10 <= s.
+  // integral: a bit at scale s contributes 2^(10+s) mod 2^64, and 0 when
+  // 10+s is outside [0, 63]. Sums wrap (two's complement).
   GrammarBuilder B("binary-numbers");
+  auto wrappingAdd = [](std::span<const Value> A) {
+    return Value::ofInt(
+        int64_t(uint64_t(A[0].asInt()) + uint64_t(A[1].asInt())));
+  };
   PhylumId Num = B.phylum("Num");
   PhylumId List = B.phylum("List");
   PhylumId Bit = B.phylum("Bit");
@@ -107,9 +115,7 @@ AttributeGrammar workloads::binaryNumbers(DiagnosticEngine &Diags) {
            return Value::ofInt(-A[0].asInt());
          });
   B.rule(Fraction, occ(0, NVal), {occ(1, LVal), occ(2, LVal)}, "add",
-         [](std::span<const Value> A) {
-           return Value::ofInt(A[0].asInt() + A[1].asInt());
-         });
+         wrappingAdd);
 
   // Single(Bit) -> List
   ProdId Single = B.production("Single", List, {Bit});
@@ -125,9 +131,7 @@ AttributeGrammar workloads::binaryNumbers(DiagnosticEngine &Diags) {
          });
   B.copy(Pair, occ(2, BScale), occ(0, LScale));
   B.rule(Pair, occ(0, LVal), {occ(1, LVal), occ(2, BVal)}, "add",
-         [](std::span<const Value> A) {
-           return Value::ofInt(A[0].asInt() + A[1].asInt());
-         });
+         wrappingAdd);
   B.rule(Pair, occ(0, LLen), {occ(1, LLen)}, "inc",
          [](std::span<const Value> A) {
            return Value::ofInt(A[0].asInt() + 1);
@@ -139,9 +143,9 @@ AttributeGrammar workloads::binaryNumbers(DiagnosticEngine &Diags) {
   ProdId One = B.production("One", Bit, {});
   B.rule(One, occ(0, BVal), {occ(0, BScale)}, "pow2",
          [](std::span<const Value> A) {
-           int64_t S = A[0].asInt() + 10;
-           assert(S >= 0 && S < 62 && "scale out of fixed-point range");
-           return Value::ofInt(int64_t(1) << S);
+           const int64_t S = A[0].asInt() + 10;
+           return Value::ofInt(S < 0 || S > 63 ? 0
+                                               : int64_t(uint64_t(1) << S));
          });
 
   B.setStart(Num);
