@@ -63,7 +63,9 @@
 #      (MissingSequence) and its heap-spilled frame stack
 #      (DeepChain.StorageEvaluator, a 60000-deep chain, matched by Storage)
 #      run here too; the million-node DeepChain cases stay out, at about
-#      1 GiB each under ASan.
+#      1 GiB each under ASan. UBSan halts on its first report, so signed
+#      overflow or an out-of-range shift anywhere in these suites fails
+#      the step instead of only printing.
 #   5. ThreadSanitizer build (-DFNC2_SANITIZE=thread) + the concurrency,
 #      differential, interning, trace, oracle, parallel-cascade,
 #      artifact-cache, multi-session and native-backend race tests, which
@@ -144,7 +146,10 @@ cmake --build "$SRC/build-asan" -j "$JOBS" \
                merged_batch_test native_backend_test native_merged_test \
                service_test service_soak_test storage_test olga_test \
                grammar_test tree_test visit_driver_test
+# A UBSan report fails its test: halt_on_error turns the printed report
+# into an abort.
 (ulimit -s 65536 &&
+ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
  ctest --test-dir "$SRC/build-asan" --output-on-failure -j "$JOBS" \
       -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|FrameArena|ExprEval|MissingSequence')
 
