@@ -48,7 +48,8 @@ static void BM_StaticVisitSequences(benchmark::State &State) {
   static Workload W = makeWorkload(static_cast<int>(0));
   TreeGenerator Gen(W.AG, 11);
   Tree Tr = Gen.generate(static_cast<unsigned>(State.range(0)));
-  Evaluator E(W.Plan);
+  CompiledPlan CP(W.Plan);
+  Evaluator E(CP);
   for (auto _ : State) {
     DiagnosticEngine D;
     bool Ok = E.evaluate(Tr, D);
@@ -85,7 +86,8 @@ int main(int argc, char **argv) {
     Workload W = makeWorkload(Which);
     TreeGenerator Gen(W.AG, 23);
     Tree Tr = Gen.generate(8000);
-    Evaluator SE(W.Plan);
+    CompiledPlan CP(W.Plan);
+    Evaluator SE(CP);
     DemandEvaluator DE(W.AG);
     DiagnosticEngine D;
     Timer TS;

@@ -57,7 +57,7 @@ int main(int argc, char **argv) {
     }
 
     // Generated evaluator: best of three runs.
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     double AgMs = 1e99;
     workloads::PCodeResult ByAg;
     for (int Rep = 0; Rep != 3; ++Rep) {

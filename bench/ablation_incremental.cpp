@@ -42,8 +42,8 @@ int main(int argc, char **argv) {
   for (unsigned Size : {1000u, 4000u, 16000u}) {
     TreeGenerator Gen(Calc, Size + 3);
     Tree Tr = Gen.generate(Size);
-    IncrementalEvaluator IE(GE.Plan);
-    Evaluator Full(GE.Plan);
+    IncrementalEvaluator IE(GE.Compiled->CP);
+    Evaluator Full(GE.Compiled->CP);
     DiagnosticEngine D;
     if (!IE.initial(Tr, D)) {
       std::fprintf(stderr, "%s\n", D.dump().c_str());
@@ -91,7 +91,7 @@ int main(int argc, char **argv) {
     for (int Mode = 0; Mode != 2; ++Mode) {
       TreeGenerator Gen(Calc, 77);
       Tree Tr = Gen.generate(8000);
-      IncrementalEvaluator IE(GE.Plan);
+      IncrementalEvaluator IE(GE.Compiled->CP);
       DiagnosticEngine D;
       if (!IE.initial(Tr, D))
         continue;

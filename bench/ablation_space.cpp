@@ -76,7 +76,7 @@ int main(int argc, char **argv) {
       if (!GE.Success)
         return;
       for (unsigned Size : {500u, 2000u, 8000u}) {
-        StorageEvaluator SE(GE.Plan, GE.Storage);
+        StorageEvaluator SE(GE.Compiled->CP, GE.Compiled->CS);
         TreeGenerator Gen(AG, Size);
         Tree Tr = Gen.generate(Size);
         DiagnosticEngine TD;

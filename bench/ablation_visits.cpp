@@ -43,7 +43,8 @@ static void reportGrammar(TablePrinter &T, const AttributeGrammar &AG,
 
   TreeGenerator Gen(AG, 7);
   Tree Tr = Gen.generate(TreeSize);
-  Evaluator EEq(PlanEq), ELong(PlanLong);
+  CompiledPlan CPEq(PlanEq), CPLong(PlanLong);
+  Evaluator EEq(CPEq), ELong(CPLong);
   DiagnosticEngine D;
   if (!EEq.evaluate(Tr, D) || !ELong.evaluate(Tr, D))
     return;

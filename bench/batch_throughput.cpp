@@ -124,7 +124,7 @@ void measureWorkload(Workload &W, TablePrinter &T,
       ThreadPool Pool(Threads);
       double Rate;
       if (Storage) {
-        BatchStorageEvaluator BE(W.GE->Plan, W.GE->Storage, Pool);
+        BatchStorageEvaluator BE(W.GE->Compiled->CP, W.GE->Compiled->CS, Pool);
         Rate = treesPerSec(W.Trees.size(), [&] {
           BatchStorageResult R = BE.evaluate(W.Trees);
           if (!R.allSucceeded())
@@ -132,7 +132,7 @@ void measureWorkload(Workload &W, TablePrinter &T,
           benchmark::DoNotOptimize(R.Stats.RulesEvaluated);
         });
       } else {
-        BatchEvaluator BE(W.GE->Plan, Pool);
+        BatchEvaluator BE(W.GE->Compiled->CP, Pool);
         Rate = treesPerSec(W.Trees.size(), [&] {
           BatchResult R = BE.evaluate(W.Trees);
           if (!R.allSucceeded())
@@ -194,7 +194,7 @@ void runMergedScaling(const std::vector<unsigned> &Points,
   // exists. An unavailable toolchain skips the native rows and gate (the
   // same environment-limitation policy native_speedup applies); a toolchain
   // that exists but cannot compile our emitted code fails the bench.
-  CompiledPlan CP(GE.Plan);
+  const CompiledPlan &CP = GE.Compiled->CP;
   std::shared_ptr<const NativeModule> Module;
   if (NativeBackend::available()) {
     NativeBuildResult B = NativeBackend::shared().build(AG, CP);
@@ -239,7 +239,7 @@ void runMergedScaling(const std::vector<unsigned> &Points,
     P.Threads = Threads;
     auto Measure = [&](MergedPoint &Pt) {
       {
-        BatchEvaluator BE(GE.Plan, Pool);
+        BatchEvaluator BE(GE.Compiled->CP, Pool);
         Pt.BatchRate = treesPerSec(Trees.size(), [&] {
           BatchResult R = BE.evaluate(Trees);
           if (!R.allSucceeded())
@@ -248,7 +248,7 @@ void runMergedScaling(const std::vector<unsigned> &Points,
         });
       }
       {
-        MergedBatchEvaluator ME(GE.Plan, Pool);
+        MergedBatchEvaluator ME(GE.Compiled->CP, Pool);
         Pt.MergedRate = treesPerSec(Trees.size(), [&] {
           BatchResult R = ME.evaluate(Trees);
           if (!R.allSucceeded())
@@ -260,7 +260,7 @@ void runMergedScaling(const std::vector<unsigned> &Points,
       }
       if (Module) {
         NativeCohortKernel K(CP, Module);
-        MergedBatchEvaluator NE(GE.Plan, CP, Pool);
+        MergedBatchEvaluator NE(CP, Pool);
         NE.setKernel(&K);
         Pt.NativeRate = treesPerSec(Trees.size(), [&] {
           BatchResult R = NE.evaluate(Trees);
@@ -273,7 +273,7 @@ void runMergedScaling(const std::vector<unsigned> &Points,
       // timed region, each round re-gathers the leaves and reruns the
       // visits — the repeated-evaluation workload the session exists for.
       {
-        MergedBatchSession MS(GE.Plan, CP, Pool);
+        MergedBatchSession MS(CP, Pool);
         MS.bind(Trees);
         Pt.SessionRate = treesPerSec(Trees.size(), [&] {
           SessionResult R = MS.evaluate();
@@ -432,7 +432,7 @@ void BM_BatchEvaluateDesk(benchmark::State &State) {
   for (unsigned I = 0; I != BatchTrees; ++I)
     Trees.push_back(Gen.generate(300));
   ThreadPool Pool(unsigned(State.range(0)));
-  BatchEvaluator BE(GE.Plan, Pool);
+  BatchEvaluator BE(GE.Compiled->CP, Pool);
   for (auto _ : State) {
     BatchResult R = BE.evaluate(Trees);
     benchmark::DoNotOptimize(R.NumSucceeded);

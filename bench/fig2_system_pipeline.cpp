@@ -58,7 +58,7 @@ int main(int argc, char **argv) {
     // Execution time: evaluate a generated tree.
     TreeGenerator TG(C.Grammars[0].AG, 99);
     Tree Tree = TG.generate(5000);
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     DiagnosticEngine TD;
     Timer Ev;
     bool Ok = E.evaluate(Tree, TD);

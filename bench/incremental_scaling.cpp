@@ -71,7 +71,7 @@ SweepRow runPoint(const std::string &Name, const AttributeGrammar &AG,
   EditScriptGen Script(AG, {.Seed = Seed * 2654435761ULL + 17});
   EditLog Log = Script.generate(ScriptTree, NumEdits);
 
-  IncrementalSession S(AG, compileArtifact(GE));
+  IncrementalSession S(AG, GE.Compiled);
   for (AttrId A : AG.phylum(AG.Start).Attrs)
     if (AG.attr(A).isInherited())
       S.setRootInherited(A, Value::ofInt(7));
@@ -99,7 +99,7 @@ SweepRow runPoint(const std::string &Name, const AttributeGrammar &AG,
   // From-scratch reference over the final tree.
   Tree Check(AG);
   Check.setRoot(S.tree().clone(S.tree().root()));
-  Evaluator Full(GE.Plan);
+  Evaluator Full(GE.Compiled->CP);
   for (AttrId A : AG.phylum(AG.Start).Attrs)
     if (AG.attr(A).isInherited())
       Full.setRootInherited(A, Value::ofInt(7));
@@ -120,7 +120,7 @@ SweepRow runPoint(const std::string &Name, const AttributeGrammar &AG,
                  Nodes, Why.c_str());
     std::exit(1);
   }
-  IncrementalSession Resumed(AG, compileArtifact(GE));
+  IncrementalSession Resumed(AG, GE.Compiled);
   for (AttrId A : AG.phylum(AG.Start).Attrs)
     if (AG.attr(A).isInherited())
       Resumed.setRootInherited(A, Value::ofInt(7));

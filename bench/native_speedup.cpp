@@ -100,7 +100,7 @@ void provideRootInherited(const AttributeGrammar &AG, EvalT &E) {
 bool measureGrammar(const std::string &Name, const AttributeGrammar &AG,
                     const GeneratedEvaluator &GE, NativeBackend &Backend,
                     double Floor, std::vector<Row> &Out) {
-  CompiledPlan CP(GE.Plan);
+  const CompiledPlan &CP = GE.Compiled->CP;
   NativeBuildResult B = Backend.build(AG, CP);
   if (B.Unavailable) {
     std::fprintf(stderr, "%s: native unavailable: %s\n", Name.c_str(),
@@ -121,7 +121,7 @@ bool measureGrammar(const std::string &Name, const AttributeGrammar &AG,
   R.Workload = Name;
   R.Floor = Floor;
   {
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     provideRootInherited(AG, E);
     R.InterpMs = bestMsPerRound([&] {
       if (!E.evaluate(T, D))
@@ -148,7 +148,7 @@ bool warmStartGate(const AttributeGrammar &AG, const GeneratedEvaluator &GE,
                    uint64_t &ColdCompiles, uint64_t &WarmCompiles,
                    uint64_t &WarmSkipped) {
   const std::string Dir = uniqueTempDir("fnc2-native-bench");
-  CompiledPlan CP(GE.Plan);
+  const CompiledPlan &CP = GE.Compiled->CP;
 
   NativeBackend Cold({Dir, /*UseMemo=*/false});
   NativeBuildResult CB = Cold.build(AG, CP);

@@ -141,7 +141,7 @@ void runGrammar(const std::string &Name, GrammarFactory Make,
   DiagnosticEngine D;
 
   {
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     Out.push_back(measure(Name, "exhaustive", [&] {
       if (!E.evaluate(T, D))
         std::exit(1);
@@ -158,7 +158,7 @@ void runGrammar(const std::string &Name, GrammarFactory Make,
     }));
   }
   {
-    StorageEvaluator SE(GE.Plan, GE.Storage);
+    StorageEvaluator SE(GE.Compiled->CP, GE.Compiled->CS);
     Out.push_back(measure(Name, "storage", [&] {
       if (!SE.evaluate(T, D))
         std::exit(1);
@@ -166,7 +166,7 @@ void runGrammar(const std::string &Name, GrammarFactory Make,
   }
   {
     Tree IT = Gen.generate(500);
-    IncrementalEvaluator IE(GE.Plan);
+    IncrementalEvaluator IE(GE.Compiled->CP);
     if (!IE.initial(IT, D))
       std::exit(1);
     TreeGenerator EditGen(AG, 123);

@@ -148,7 +148,7 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  IncrementalSession S(AG, compileArtifact(GE));
+  IncrementalSession S(AG, GE.Compiled);
   DiagnosticEngine D;
   if (!ResumePath.empty()) {
     std::vector<uint8_t> Bytes = readFile(ResumePath);

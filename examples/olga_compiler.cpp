@@ -212,7 +212,7 @@ int main(int argc, char **argv) {
     }
 
     if (EmitNative || RunNative) {
-      CompiledPlan CP(GE.Plan);
+      const CompiledPlan &CP = GE.Compiled->CP;
       if (EmitNative) {
         PlanWalker Walker(CP);
         CppEmitResult Emitted = emitNativeCpp(LG.AG, Walker);
@@ -239,7 +239,7 @@ int main(int argc, char **argv) {
           TreeGenerator Gen(LG.AG, 13);
           Tree T = Gen.generate(300);
           DiagnosticEngine RD;
-          Evaluator Interp(GE.Plan);
+          Evaluator Interp(GE.Compiled->CP);
           NativeEvaluator NE(CP, B.Module);
           for (AttrId A : LG.AG.phylum(LG.AG.Start).Attrs)
             if (LG.AG.attr(A).isInherited()) {

@@ -75,7 +75,7 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   DiagnosticEngine EvalDiags;
   if (!E.evaluate(T, EvalDiags)) {
     std::fprintf(stderr, "%s", EvalDiags.dump().c_str());
@@ -87,7 +87,7 @@ int main(int argc, char **argv) {
     std::printf("  %s\n", I.c_str());
 
   // The same program under the space-optimized evaluator.
-  StorageEvaluator SE(GE.Plan, GE.Storage);
+  StorageEvaluator SE(GE.Compiled->CP, GE.Compiled->CS);
   DiagnosticEngine SD;
   if (SE.evaluate(T, SD)) {
     const StorageStats &S = SE.stats();

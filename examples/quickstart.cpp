@@ -52,7 +52,7 @@ int main() {
     return 1;
   }
 
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   DiagnosticEngine EvalDiags;
   if (!E.evaluate(T, EvalDiags)) {
     std::fprintf(stderr, "%s", EvalDiags.dump().c_str());

@@ -12,7 +12,7 @@
 /// poison the batch, and folds per-worker stats and the success count after
 /// the join. The engines differ only in what they compile once and how they
 /// build the per-tree engine from it. Its root-inherited list type is also
-/// what DemandEvaluator and MergedBatchSession keep.
+/// what DemandEvaluator, MergedBatchSession and IncrementalSession keep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +57,7 @@ public:
   }
   auto begin() const { return Vals.begin(); }
   auto end() const { return Vals.end(); }
+  size_t size() const { return Vals.size(); }
 
 private:
   std::vector<std::pair<AttrId, Value>> Vals;

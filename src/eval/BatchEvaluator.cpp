@@ -9,5 +9,5 @@ BatchResult BatchEvaluator::evaluate(std::vector<Tree> &Trees) {
   // A fresh evaluator per tree over the shared compiled plan: it is a few
   // references plus buffers, and it keeps tree failures fully isolated.
   return run(Pool, Trees, "batch.tree",
-             [this] { return Evaluator(Plan, Compiled); });
+             [this] { return Evaluator(CP); });
 }

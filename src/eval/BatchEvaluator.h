@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The parallel batch engine: evaluates a vector of independent attributed
-/// trees concurrently against one shared immutable EvaluationPlan (see the
-/// immutability contract in visitseq/VisitSequence.h), compiled once and
-/// shared read-only by a fresh Evaluator per tree. The driver (per-tree
+/// trees concurrently against one shared immutable CompiledPlan (see the
+/// immutability contract in visitseq/VisitSequence.h), borrowed read-only
+/// by a fresh Evaluator per tree. The driver (per-tree
 /// diagnostics, per-worker stats merged on join) is eval/BatchDriver.h,
 /// shared with the storage-optimized batch engine. The trees must be
 /// pairwise disjoint (no shared nodes); beyond that no coordination is
@@ -31,8 +31,15 @@ using BatchResult = BatchJoin<EvalStats>;
 /// Evaluates batches of trees of one grammar over a shared plan.
 class BatchEvaluator : public PerTreeBatch<Evaluator, EvalStats> {
 public:
+  /// Borrows the compiled plan every worker's evaluator shares; \p CP must
+  /// outlive the batch engine.
+  BatchEvaluator(const CompiledPlan &CP, ThreadPool &Pool)
+      : CP(CP), Pool(Pool) {}
+  /// Kept only for perfbench/ until the next benchmark change: compiles
+  /// \p Plan privately.
   BatchEvaluator(const EvaluationPlan &Plan, ThreadPool &Pool)
-      : Plan(Plan), Pool(Pool), Compiled(Plan) {}
+      : Owned(std::make_unique<const CompiledPlan>(Plan)), CP(*Owned),
+        Pool(Pool) {}
 
   /// Evaluates every tree of \p Trees (which must be pairwise disjoint),
   /// distributing them over the pool. Trees carry their attribute values on
@@ -41,10 +48,10 @@ public:
   BatchResult evaluate(std::vector<Tree> &Trees);
 
 private:
-  const EvaluationPlan &Plan;
+  /// Set only by the perfbench/ forward.
+  std::unique_ptr<const CompiledPlan> Owned;
+  const CompiledPlan &CP;
   ThreadPool &Pool;
-  /// Compiled once; shared read-only by every worker's evaluator.
-  CompiledPlan Compiled;
 };
 
 } // namespace fnc2

@@ -20,20 +20,10 @@ std::span<const CounterField<EvalStats>> EvalStats::schema() {
 // Evaluator
 //===----------------------------------------------------------------------===//
 
-Evaluator::Evaluator(const EvaluationPlan &Plan)
-    : Plan(Plan), OwnedCP(std::make_unique<CompiledPlan>(Plan)),
-      CP(OwnedCP.get()) {
-  RootInhVals.resize(Plan.AG->Attrs.size());
-  RootInhSet.assign(Plan.AG->Attrs.size(), 0);
-  ArgBuf.resize(CP->MaxRuleArgs);
-}
-
-Evaluator::Evaluator(const EvaluationPlan &Plan, const CompiledPlan &Compiled)
-    : Plan(Plan), CP(&Compiled) {
-  assert(&Compiled.plan() == &Plan && "compiled plan from a different plan");
-  RootInhVals.resize(Plan.AG->Attrs.size());
-  RootInhSet.assign(Plan.AG->Attrs.size(), 0);
-  ArgBuf.resize(CP->MaxRuleArgs);
+Evaluator::Evaluator(const CompiledPlan &CP) : CP(CP) {
+  RootInhVals.resize(CP.grammar().Attrs.size());
+  RootInhSet.assign(CP.grammar().Attrs.size(), 0);
+  ArgBuf.resize(CP.MaxRuleArgs);
 }
 
 void Evaluator::setRootInherited(AttrId A, Value V) {
@@ -43,9 +33,9 @@ void Evaluator::setRootInherited(AttrId A, Value V) {
 }
 
 bool Evaluator::installRootInherited(TreeNode *Root, DiagnosticEngine &Diags) {
-  const AttributeGrammar &AG = *Plan.AG;
+  const AttributeGrammar &AG = CP.grammar();
   const PhylumId Start = AG.prod(Root->Prod).Lhs;
-  for (const SlotAttr &IA : CP->InhByPhylum[Start]) {
+  for (const SlotAttr &IA : CP.InhByPhylum[Start]) {
     if (!RootInhSet[IA.Attr]) {
       Diags.error("inherited attribute '" + AG.attr(IA.Attr).Name +
                   "' of the start phylum was not provided");
@@ -60,7 +50,7 @@ bool Evaluator::installRootInherited(TreeNode *Root, DiagnosticEngine &Diags) {
 bool Evaluator::execCompiledRule(TreeNode *N, const CompiledRule &R,
                                  DiagnosticEngine &Diags) {
   if (!R.Fn) {
-    const AttributeGrammar &AG = *Plan.AG;
+    const AttributeGrammar &AG = CP.grammar();
     const SemanticRule &SR = AG.rule(R.Orig);
     Diags.error("rule for '" + AG.occName(SR.Prod, SR.Target) +
                 "' in operator '" + AG.prod(SR.Prod).Name +
@@ -68,7 +58,7 @@ bool Evaluator::execCompiledRule(TreeNode *N, const CompiledRule &R,
     return false;
   }
 
-  const SlotRef *A = &CP->Args[R.FirstArg];
+  const SlotRef *A = &CP.Args[R.FirstArg];
   Value *Buf = ArgBuf.data();
   for (unsigned I = 0; I != R.NumArgs; ++I) {
     const SlotRef &Ref = A[I];
@@ -98,7 +88,7 @@ bool Evaluator::execCompiledRule(TreeNode *N, const CompiledRule &R,
     N->setSlotComputed(T.Slot);
   } else {
     TreeNode *C = N->child(T.Child);
-    CP->ensureFrame(C);
+    CP.ensureFrame(C);
     C->Slots[T.Slot] = std::move(Result);
     C->setSlotComputed(T.Slot);
   }
@@ -111,7 +101,7 @@ struct Evaluator::Walk : TreeVisitPolicy {
   static constexpr const char *Span = "eval.visit";
 
   Walk(Evaluator &E, DiagnosticEngine &Diags)
-      : TreeVisitPolicy(*E.CP, Diags), E(E) {}
+      : TreeVisitPolicy(E.CP, Diags), E(E) {}
 
   void enter(auto &) { ++E.Stats.VisitsPerformed; }
   void step() { ++E.Stats.InstructionsExecuted; }
@@ -140,12 +130,12 @@ bool Evaluator::evaluate(Tree &T, DiagnosticEngine &Diags) {
     return false;
   }
   T.resetAttributes();
-  CP->ensureFrame(Root);
-  Root->PartitionId = Plan.RootPartition;
+  CP.ensureFrame(Root);
+  Root->PartitionId = CP.plan().RootPartition;
 
   if (!installRootInherited(Root, Diags))
     return false;
 
   Walk W(*this, Diags);
-  return VisitDriver<Walk>(*CP, W).runNode(Root, Plan.RootPartition);
+  return VisitDriver<Walk>(CP, W).runNode(Root, CP.plan().RootPartition);
 }

@@ -52,12 +52,16 @@ struct EvalStats {
 /// Evaluates an EvaluationPlan over trees of its grammar.
 class Evaluator {
 public:
-  /// Compiles the plan privately.
-  explicit Evaluator(const EvaluationPlan &Plan);
-  /// Borrows an already-compiled plan (the batch engines compile once and
-  /// share it across workers). \p Compiled must outlive the evaluator and
-  /// have been compiled from \p Plan.
-  Evaluator(const EvaluationPlan &Plan, const CompiledPlan &Compiled);
+  /// Borrows the compiled plan (the generator's bundle, shared by every
+  /// engine and worker). \p CP must outlive the evaluator.
+  explicit Evaluator(const CompiledPlan &CP);
+  /// Kept only for perfbench/ until the next benchmark change: \p Compiled
+  /// must have been compiled from \p Plan.
+  Evaluator([[maybe_unused]] const EvaluationPlan &Plan,
+            const CompiledPlan &Compiled)
+      : Evaluator(Compiled) {
+    assert(&Compiled.plan() == &Plan && "compiled plan from a different plan");
+  }
 
   /// Provides the value of an inherited attribute of the start phylum;
   /// required before evaluate() when the start phylum has inherited
@@ -72,7 +76,7 @@ public:
   const EvalStats &stats() const { return Stats; }
   void resetStats() { Stats.reset(); }
 
-  const CompiledPlan &compiled() const { return *CP; }
+  const CompiledPlan &compiled() const { return CP; }
 
 private:
   /// The visit-driver policy (eval/VisitDriver.h).
@@ -83,9 +87,7 @@ private:
   bool execCompiledRule(TreeNode *N, const CompiledRule &R,
                         DiagnosticEngine &Diags);
 
-  const EvaluationPlan &Plan;
-  std::unique_ptr<const CompiledPlan> OwnedCP;
-  const CompiledPlan *CP;
+  const CompiledPlan &CP;
   EvalStats Stats;
   /// Root-inherited values indexed by AttrId (resolved to slots at compile
   /// time; see CompiledPlan::InhByPhylum).

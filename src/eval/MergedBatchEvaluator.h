@@ -30,14 +30,13 @@ namespace fnc2 {
 /// same-shape trees into SoA cohorts.
 class MergedBatchEvaluator {
 public:
-  /// Compiles the plan privately.
+  /// Borrows the compiled plan; \p CP must outlive the evaluator.
+  MergedBatchEvaluator(const CompiledPlan &CP, ThreadPool &Pool)
+      : S(CP, Pool) {}
+  /// Kept only for perfbench/ until the next benchmark change: compiles
+  /// \p Plan privately.
   MergedBatchEvaluator(const EvaluationPlan &Plan, ThreadPool &Pool)
-      : S(Plan, Pool) {}
-  /// Borrows an already-compiled plan (e.g. out of the artifact cache);
-  /// \p Compiled must outlive the evaluator and match \p Plan.
-  MergedBatchEvaluator(const EvaluationPlan &Plan, const CompiledPlan &Compiled,
-                       ThreadPool &Pool)
-      : S(Plan, Compiled, Pool) {}
+      : Owned(std::make_unique<const CompiledPlan>(Plan)), S(*Owned, Pool) {}
 
   /// Root inherited attributes applied to every tree of the batch.
   void setRootInherited(AttrId A, Value V) {
@@ -72,6 +71,8 @@ public:
   const CompiledPlan &compiled() const { return S.compiled(); }
 
 private:
+  /// Set only by the perfbench/ forward.
+  std::unique_ptr<const CompiledPlan> Owned;
   MergedBatchSession S;
 };
 

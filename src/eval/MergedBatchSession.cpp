@@ -36,18 +36,6 @@ std::span<const CounterField<MergedStats>> MergedStats::schema() {
   return Fields;
 }
 
-MergedBatchSession::MergedBatchSession(const EvaluationPlan &Plan,
-                                       ThreadPool &Pool)
-    : Plan(Plan), Pool(Pool),
-      OwnedCP(std::make_unique<CompiledPlan>(Plan)), CP(OwnedCP.get()) {}
-
-MergedBatchSession::MergedBatchSession(const EvaluationPlan &Plan,
-                                       const CompiledPlan &Compiled,
-                                       ThreadPool &Pool)
-    : Plan(Plan), Pool(Pool), CP(&Compiled) {
-  assert(&Compiled.plan() == &Plan && "compiled plan from a different plan");
-}
-
 void MergedBatchSession::setRootInherited(AttrId A, Value V) {
   RootLanesValid = false;
   RootInh.set(A, std::move(V));
@@ -204,10 +192,10 @@ void MergedBatchSession::form(std::vector<Tree> &Trees, CohortSet &Set) {
       Sh.Prods[Pos] = Nd->Prod;
       Sh.FirstChild[Pos] = NextChild;
       NextChild += Nd->arity();
-      const FrameShape &F = CP->frameOf(Nd->Prod);
+      const FrameShape &F = CP.frameOf(Nd->Prod);
       const unsigned Real = unsigned(F.NumAttrs) + F.NumLocals;
       Sh.RealSlots[Pos] = static_cast<uint16_t>(Real);
-      const bool Lex = CP->LexemeUsed[Nd->Prod];
+      const bool Lex = CP.LexemeUsed[Nd->Prod];
       Sh.LaneSlots[Pos] = static_cast<uint16_t>(Real + Lex);
       if (Lex)
         Sh.LexemePositions.push_back(static_cast<uint32_t>(Pos));
@@ -227,7 +215,7 @@ bool MergedBatchSession::execMergedRule(const CohortShape &Shape, size_t Pos,
                                         unsigned NumMembers, Shard &S,
                                         std::string &FailMsg) {
   if (!R.Fn) {
-    const AttributeGrammar &AG = *Plan.AG;
+    const AttributeGrammar &AG = CP.grammar();
     const SemanticRule &SR = AG.rule(R.Orig);
     FailMsg = "rule for '" + AG.occName(SR.Prod, SR.Target) +
               "' in operator '" + AG.prod(SR.Prod).Name +
@@ -237,7 +225,7 @@ bool MergedBatchSession::execMergedRule(const CohortShape &Shape, size_t Pos,
 
   // Resolve every argument lane once per cohort instruction; the member
   // loop below is then a branch-free gather / apply / store.
-  const SlotRef *A = &CP->Args[R.FirstArg];
+  const SlotRef *A = &CP.Args[R.FirstArg];
   Value **Base = S.BasePtrs.data();
   for (unsigned I = 0; I != R.NumArgs; ++I) {
     const SlotRef &Ref = A[I];
@@ -290,12 +278,12 @@ struct MergedBatchSession::Walk : VisitPolicy {
   const CompiledSeq *seq(size_t Pos, unsigned Part) const {
     S.PartitionAt[Pos] = Part;
     S.Touched[Pos] = 1;
-    return Session.CP->seqFor(Shape.Prods[Pos], Part);
+    return Session.CP.seqFor(Shape.Prods[Pos], Part);
   }
   void enter(auto &) { WS.VisitsPerformed += NumMembers; }
   void step() { WS.InstructionsExecuted += NumMembers; }
   bool eval(auto &F, const CompiledInstr &I) {
-    const CompiledRule *R = &Session.CP->Rules[I.A];
+    const CompiledRule *R = &Session.CP.Rules[I.A];
     for (uint32_t K = 0; K != I.B; ++K)
       if (!Session.execMergedRule(Shape, F.Node, R[K], NumMembers, S,
                                   FailMsg))
@@ -361,7 +349,7 @@ void MergedBatchSession::scatterShard(const CohortShape &Shape,
       }
       continue;
     }
-    const FrameShape &F = CP->frameOf(Shape.Prods[Pos]);
+    const FrameShape &F = CP.frameOf(Shape.Prods[Pos]);
     const unsigned Words = S.Arena.maskWords(Pos);
     const uint64_t *Mask = S.Arena.mask(Pos);
     const uint32_t Part = S.PartitionAt[Pos];
@@ -473,13 +461,13 @@ void MergedBatchSession::bind(std::vector<Tree> &Trees) {
       for (unsigned M = 0; M != NumMembers; ++M)
         S.LexPtrs[L * NumMembers + M] = &S.Rows[M][Pos]->Lexeme;
     }
-    S.ArgBuf.resize(CP->MaxRuleArgs);
-    S.BasePtrs.resize(CP->MaxRuleArgs);
+    S.ArgBuf.resize(CP.MaxRuleArgs);
+    S.BasePtrs.resize(CP.MaxRuleArgs);
     const size_t P = C.Shape.Prods.size();
     S.Touched.assign(P, 0);
     S.PartitionAt.assign(P, 0);
     S.Touched[0] = 1;
-    S.PartitionAt[0] = Plan.RootPartition;
+    S.PartitionAt[0] = CP.plan().RootPartition;
   }
 }
 
@@ -487,7 +475,7 @@ SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *Outcomes) {
   FNC2_SPAN("session.evaluate");
   assert(Batch && "evaluate() before bind()");
   std::vector<Tree> &Trees = *Batch;
-  const AttributeGrammar &AG = *Plan.AG;
+  const AttributeGrammar &AG = CP.grammar();
 
   std::vector<MergedStats> WorkerStats(Pool.numThreads());
   using FailList = std::vector<std::pair<uint32_t, std::string>>;
@@ -506,7 +494,7 @@ SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *Outcomes) {
       for (uint32_t K = X.Begin; K != X.End; ++K) {
         FNC2_SPAN("session.fallback_tree");
         const uint32_t Idx = Set.Fallback[K];
-        Evaluator E(Plan, *CP);
+        Evaluator E(CP);
         for (const auto &[Attr, Val] : RootInh)
           E.setRootInherited(Attr, Val);
         DiagnosticEngine Own;
@@ -561,7 +549,7 @@ SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *Outcomes) {
     bool Ok = true;
     if (FillRoot) {
       const PhylumId Start = AG.prod(Shape.Prods[0]).Lhs;
-      for (const SlotAttr &IA : CP->InhByPhylum[Start]) {
+      for (const SlotAttr &IA : CP.InhByPhylum[Start]) {
         auto Given =
             std::find_if(RootInh.begin(), RootInh.end(),
                          [&](const auto &P) { return P.first == IA.Attr; });
@@ -590,7 +578,7 @@ SessionResult MergedBatchSession::run(std::deque<BatchTreeOutcome> *Outcomes) {
         Ok = Kernel->run(Sh, WS, FailMsg);
       } else {
         Walk W{{}, *this, Shape, NumMembers, S, WS, FailMsg};
-        Ok = VisitDriver<Walk>(*CP, W).runNode(0, Plan.RootPartition);
+        Ok = VisitDriver<Walk>(CP, W).runNode(0, CP.plan().RootPartition);
       }
     }
 

@@ -18,7 +18,7 @@
 ///
 /// The pipeline has three steps, and a session exposes them separately:
 ///
-///   MergedBatchSession S(Plan, Pool);
+///   MergedBatchSession S(CP, Pool);
 ///   S.bind(Trees);                  // forms cohorts and shards, once
 ///   for (;;) {
 ///     ... mutate leaf lexemes / root-inherited values ...
@@ -223,12 +223,17 @@ struct SessionResult {
 /// the differential tests pin flush()ed attribution bit-identical to it.
 class MergedBatchSession {
 public:
-  /// Compiles the plan privately.
-  MergedBatchSession(const EvaluationPlan &Plan, ThreadPool &Pool);
-  /// Borrows an already-compiled plan (e.g. out of the artifact cache);
-  /// \p Compiled must outlive the session and match \p Plan.
-  MergedBatchSession(const EvaluationPlan &Plan, const CompiledPlan &Compiled,
-                     ThreadPool &Pool);
+  /// Borrows the compiled plan (the generator's bundle); \p CP must
+  /// outlive the session.
+  MergedBatchSession(const CompiledPlan &CP, ThreadPool &Pool)
+      : CP(CP), Pool(Pool) {}
+  /// Kept only for perfbench/ until the next benchmark change: \p Compiled
+  /// must have been compiled from \p Plan.
+  MergedBatchSession([[maybe_unused]] const EvaluationPlan &Plan,
+                     const CompiledPlan &Compiled, ThreadPool &Pool)
+      : MergedBatchSession(Compiled, Pool) {
+    assert(&Compiled.plan() == &Plan && "compiled plan from a different plan");
+  }
 
   /// Root inherited attributes applied to every tree of the batch; may be
   /// updated between evaluate() calls (each evaluation re-applies them).
@@ -288,7 +293,7 @@ public:
   /// Formation counters of the current binding plus the dynamic counters
   /// of the most recent evaluate().
   const MergedStats &mergedStats() const { return Stats; }
-  const CompiledPlan &compiled() const { return *CP; }
+  const CompiledPlan &compiled() const { return CP; }
 
 private:
   /// The one-shot engine drives bind → run → flush → release.
@@ -343,10 +348,8 @@ private:
                       std::string &FailMsg);
   void scatterShard(const CohortShape &Shape, unsigned NumMembers, Shard &S);
 
-  const EvaluationPlan &Plan;
+  const CompiledPlan &CP;
   ThreadPool &Pool;
-  std::unique_ptr<const CompiledPlan> OwnedCP;
-  const CompiledPlan *CP;
   RootInheritedList RootInh;
   CohortKernel *Kernel = nullptr;
   unsigned CohortThreshold = 4;

@@ -41,29 +41,9 @@
 #ifndef FNC2_FNC2_ARTIFACTCACHE_H
 #define FNC2_FNC2_ARTIFACTCACHE_H
 
-#include "eval/CompiledPlan.h"
 #include "fnc2/Generator.h"
-#include "storage/StorageEvaluator.h"
 
 namespace fnc2 {
-
-/// The compiled image of a generated evaluator, anchored to its own copy of
-/// the evaluation plan so the bundle stays self-contained when the owning
-/// GeneratedEvaluator is moved or copied. Heap-allocated and immutable
-/// behind a shared_ptr; CP.plan() is this bundle's Plan member.
-struct CompiledArtifact {
-  /// Compiles a copy of \p Plan, and the storage side tables of
-  /// \p Storage when it is non-null (the space optimization ran).
-  CompiledArtifact(const EvaluationPlan &Plan,
-                   const StorageAssignment *Storage);
-
-  EvaluationPlan Plan;
-  CompiledPlan CP;
-  CompiledStorage CS;
-  /// False when the artifact was generated with SpaceOptimize off: CS is
-  /// then empty and storage-aware engines cannot borrow it.
-  bool HasStorage = false;
-};
 
 /// Container version of generator artifacts, bumped whenever one of their
 /// section encodings changes shape. It is kept apart from
@@ -118,17 +98,16 @@ public:
 
   /// Serializes \p G (which must be a successful generation for \p AG) and
   /// atomically installs it for (AG, Opts). Returns false on I/O failure;
-  /// never throws. Fills G.Compiled when the caller has not already built
-  /// it, so a cold generation returns the same bundle a hit would.
+  /// never throws.
   bool store(const AttributeGrammar &AG, const GeneratorOptions &Opts,
-             GeneratedEvaluator &G);
+             const GeneratedEvaluator &G);
 
   /// load()/store() against a precomputed \p Key == artifactKey(AG, Opts),
   /// so a miss followed by a store hashes the grammar only once.
   CacheLookup load(const AttributeGrammar &AG, const GeneratorOptions &Opts,
                    uint64_t Key, GeneratedEvaluator &G, std::string &Reason);
   bool store(const AttributeGrammar &AG, const GeneratorOptions &Opts,
-             uint64_t Key, GeneratedEvaluator &G);
+             uint64_t Key, const GeneratedEvaluator &G);
 
   /// Serializes \p G exactly as store() would, without touching the disk
   /// (the golden-artifact test and the fuzzers build images in memory).
@@ -160,15 +139,6 @@ private:
   std::string Dir;
   ArtifactCacheStats Stats;
 };
-
-/// Builds (or reuses) the shared compiled bundle for a successful
-/// generation without touching the disk: returns G.Compiled when the
-/// generator or a cache store already produced one, otherwise compiles a
-/// fresh self-contained bundle from G's plan (and storage layout when
-/// \p WithStorage). This is how concurrent incremental sessions obtain the
-/// one immutable CompiledPlan they all borrow.
-std::shared_ptr<const CompiledArtifact>
-compileArtifact(const GeneratedEvaluator &G, bool WithStorage = true);
 
 } // namespace fnc2
 

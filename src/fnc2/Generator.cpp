@@ -8,6 +8,19 @@
 
 using namespace fnc2;
 
+CompiledArtifact::CompiledArtifact(const EvaluationPlan &Plan,
+                                   const StorageAssignment *Storage)
+    : Plan(Plan), CP(this->Plan), HasStorage(Storage != nullptr) {
+  if (Storage)
+    CS = CompiledStorage(CP, *Storage);
+}
+
+std::shared_ptr<const CompiledArtifact>
+fnc2::compileArtifact(const GeneratedEvaluator &G, bool WithStorage) {
+  return std::make_shared<const CompiledArtifact>(
+      G.Plan, WithStorage ? &G.Storage : nullptr);
+}
+
 /// The cascade proper (figure 3), cache-oblivious.
 static GeneratedEvaluator runCascade(const AttributeGrammar &AG,
                                      DiagnosticEngine &Diags,
@@ -90,6 +103,8 @@ static GeneratedEvaluator runCascade(const AttributeGrammar &AG,
     G.Times.Storage = Phase.seconds();
   }
 
+  // The compiled bundle every engine borrows.
+  G.Compiled = compileArtifact(G, Opts.SpaceOptimize);
   G.Success = true;
   return G;
 }

@@ -27,7 +27,8 @@ bool IncrementalEvaluator::initial(Tree &T, DiagnosticEngine &Diags) {
   WriteClock = 0;
   LastWrite.clear();
   RevisitStamp.clear();
-  return Exhaustive.evaluate(T, Diags);
+  Failed = !Exhaustive.evaluate(T, Diags);
+  return !Failed;
 }
 
 std::unique_ptr<TreeNode>
@@ -45,7 +46,7 @@ IncrementalEvaluator::replaceSubtree(Tree &T, TreeNode *Old,
 void IncrementalEvaluator::changeLeafValue(Tree &T, TreeNode *N,
                                            Value NewLexeme) {
   (void)T;
-  assert(Plan.AG->prod(N->Prod).HasLexeme && "node has no lexeme slot");
+  assert(CP.grammar().prod(N->Prod).HasLexeme && "node has no lexeme slot");
   N->Lexeme = std::move(NewLexeme);
   LexemeChanged.insert(N);
   EditSites.push_back(N);
@@ -55,7 +56,7 @@ void IncrementalEvaluator::changeLeafValue(Tree &T, TreeNode *N,
 
 TreeNode *IncrementalEvaluator::swapProduction(Tree &T, TreeNode *Old,
                                                ProdId NewProd) {
-  const AttributeGrammar &AG = *Plan.AG;
+  const AttributeGrammar &AG = CP.grammar();
   assert(AG.prod(Old->Prod).Lhs == AG.prod(NewProd).Lhs &&
          AG.prod(Old->Prod).Rhs == AG.prod(NewProd).Rhs &&
          "production swap changes the signature");
@@ -74,7 +75,7 @@ TreeNode *IncrementalEvaluator::swapProduction(Tree &T, TreeNode *Old,
   for (const std::unique_ptr<TreeNode> &C : NewRaw->Children) {
     if (!C->hasFrame())
       continue;
-    for (const SlotAttr &IA : CP->InhByPhylum[AG.prod(C->Prod).Lhs])
+    for (const SlotAttr &IA : CP.InhByPhylum[AG.prod(C->Prod).Lhs])
       C->clearSlotComputed(IA.Slot);
   }
 
@@ -113,10 +114,10 @@ bool IncrementalEvaluator::execEvalIncremental(TreeNode *N,
                                                uint32_t NumRules,
                                                DiagnosticEngine &Diags) {
   for (uint32_t K = 0; K != NumRules; ++K) {
-    const CompiledRule &R = CP->Rules[FirstRule + K];
+    const CompiledRule &R = CP.Rules[FirstRule + K];
     const SlotRef &T = R.Target;
     TreeNode *Site = T.Kind == SlotRef::K::Self ? N : N->child(T.Child);
-    CP->ensureFrame(Site);
+    CP.ensureFrame(Site);
 
     // The target's slot exists, so ensureFrame allocated a frame.
     bool TargetComputed = Site->slotComputed(T.Slot);
@@ -124,7 +125,7 @@ bool IncrementalEvaluator::execEvalIncremental(TreeNode *N,
     // Cutoff: nothing relevant changed and the old value exists.
     bool AnyArgChanged = false;
     for (unsigned I = 0; I != R.NumArgs; ++I)
-      AnyArgChanged |= argChanged(N, CP->Args[R.FirstArg + I]);
+      AnyArgChanged |= argChanged(N, CP.Args[R.FirstArg + I]);
     if (TargetComputed && !AnyArgChanged) {
       ++Stats.RulesSkipped;
       FNC2_COUNT("inc.rules_skipped", 1);
@@ -132,7 +133,7 @@ bool IncrementalEvaluator::execEvalIncremental(TreeNode *N,
     }
 
     if (!R.Fn) {
-      const AttributeGrammar &AG = *Plan.AG;
+      const AttributeGrammar &AG = CP.grammar();
       const SemanticRule &Rule = AG.rule(R.Orig);
       Diags.error("rule for '" + AG.occName(Rule.Prod, Rule.Target) +
                   "' has no semantic function");
@@ -140,7 +141,7 @@ bool IncrementalEvaluator::execEvalIncremental(TreeNode *N,
     }
     Value *Buf = ArgBuf.data();
     for (unsigned I = 0; I != R.NumArgs; ++I) {
-      const SlotRef &Ref = CP->Args[R.FirstArg + I];
+      const SlotRef &Ref = CP.Args[R.FirstArg + I];
       switch (Ref.Kind) {
       case SlotRef::K::Self:
         Buf[I] = N->Slots[Ref.Slot];
@@ -162,7 +163,7 @@ bool IncrementalEvaluator::execEvalIncremental(TreeNode *N,
       FNC2_COUNT("inc.values_unchanged", 1);
       continue;
     }
-    const FrameShape &F = CP->frameOf(Site->Prod);
+    const FrameShape &F = CP.frameOf(Site->Prod);
     markChanged(Site, T.Slot, unsigned(F.NumAttrs) + F.NumLocals);
     LastWrite[Site] = ++WriteClock;
     Site->Slots[T.Slot] = std::move(NewVal);
@@ -178,7 +179,7 @@ struct IncrementalEvaluator::Walk : TreeVisitPolicy {
   static constexpr const char *Span = "inc.visit";
 
   Walk(IncrementalEvaluator &E, DiagnosticEngine &Diags)
-      : TreeVisitPolicy(*E.CP, Diags), E(E) {}
+      : TreeVisitPolicy(E.CP, Diags), E(E) {}
 
   void enter(auto &) { ++E.Stats.VisitsPerformed; }
   bool eval(auto &F, const CompiledInstr &I) {
@@ -191,7 +192,7 @@ struct IncrementalEvaluator::Walk : TreeVisitPolicy {
     const bool Fresh = !Child->hasFrame() || Child->FrameAttrs == 0;
     bool MustDescend = E.subtreeDirty(Child) || Fresh;
     if (!MustDescend) {
-      const PhylumId Ph = E.Plan.AG->prod(Child->Prod).Lhs;
+      const PhylumId Ph = E.CP.grammar().prod(Child->Prod).Lhs;
       for (const SlotAttr &IA : CP.InhByPhylum[Ph])
         if (E.isChanged(Child, IA.Slot)) {
           MustDescend = true;
@@ -232,8 +233,10 @@ struct IncrementalEvaluator::Walk : TreeVisitPolicy {
 
 bool IncrementalEvaluator::update(Tree &T, DiagnosticEngine &Diags,
                                   UpdateStrategy Strategy) {
+  if (Failed)
+    return initial(T, Diags);
   FNC2_SPAN("inc.update");
-  const AttributeGrammar &AG = *Plan.AG;
+  const AttributeGrammar &AG = CP.grammar();
   Changed.clear();
   WriteClock = 0;
   LastWrite.clear();
@@ -243,7 +246,7 @@ bool IncrementalEvaluator::update(Tree &T, DiagnosticEngine &Diags,
   // cutoffs.
   auto Revisit = [&](TreeNode *N) {
     Walk W(*this, Diags);
-    return VisitDriver<Walk>(*CP, W).runNode(N, N->PartitionId);
+    return VisitDriver<Walk>(CP, W).runNode(N, N->PartitionId);
   };
 
   if (Strategy == UpdateStrategy::FromRoot || EditSites.empty()) {
@@ -261,7 +264,7 @@ bool IncrementalEvaluator::update(Tree &T, DiagnosticEngine &Diags,
         // Did any synthesized attribute of N change? If not, the context
         // cannot observe the edit: stop climbing.
         bool SynChanged = false;
-        for (const SlotAttr &SA : CP->SynByPhylum[AG.prod(N->Prod).Lhs])
+        for (const SlotAttr &SA : CP.SynByPhylum[AG.prod(N->Prod).Lhs])
           if (isChanged(N, SA.Slot))
             SynChanged = true;
         if (!SynChanged || !N->Parent)
@@ -273,6 +276,7 @@ bool IncrementalEvaluator::update(Tree &T, DiagnosticEngine &Diags,
     }
   }
 
+  Failed = !Ok;
   if (Ok) {
     Dirty.clear();
     EditSites.clear();

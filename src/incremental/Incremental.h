@@ -67,19 +67,12 @@ enum class UpdateStrategy : uint8_t { FromRoot, StartAnywhere };
 /// Incremental evaluator over tree-resident attributes.
 class IncrementalEvaluator {
 public:
-  /// Compiles the plan privately.
-  explicit IncrementalEvaluator(const EvaluationPlan &Plan)
-      : Plan(Plan), OwnedCP(std::make_unique<CompiledPlan>(Plan)),
-        CP(OwnedCP.get()), Exhaustive(Plan, *CP) {
-    ArgBuf.resize(CP->MaxRuleArgs);
-  }
-
-  /// Borrows an already-compiled plan: concurrent sessions share one
-  /// immutable CompiledPlan and keep only per-session frames and marks.
-  /// \p Compiled must outlive the evaluator and stem from \p Plan.
-  IncrementalEvaluator(const EvaluationPlan &Plan, const CompiledPlan &Compiled)
-      : Plan(Plan), CP(&Compiled), Exhaustive(Plan, Compiled) {
-    ArgBuf.resize(CP->MaxRuleArgs);
+  /// Borrows the compiled plan: concurrent sessions share one immutable
+  /// CompiledPlan and keep only per-session frames and marks. \p CP must
+  /// outlive the evaluator.
+  explicit IncrementalEvaluator(const CompiledPlan &CP)
+      : CP(CP), Exhaustive(CP) {
+    ArgBuf.resize(CP.MaxRuleArgs);
   }
 
   void setRootInherited(AttrId A, Value V) {
@@ -116,7 +109,10 @@ public:
   /// satisfy the EVAL cutoff. Returns the new node.
   TreeNode *swapProduction(Tree &T, TreeNode *Old, ProdId NewProd);
 
-  /// Re-establishes consistency after the recorded edits.
+  /// Re-establishes consistency after the recorded edits. After a failed
+  /// initial() or update() the attribution is partial, and the cutoffs
+  /// cannot tell a stale slot from a settled one: the next update() runs
+  /// the whole exhaustive pass instead.
   bool update(Tree &T, DiagnosticEngine &Diags,
               UpdateStrategy Strategy = UpdateStrategy::StartAnywhere);
 
@@ -146,14 +142,12 @@ private:
   /// canonical preorder encoding (incremental/Session.cpp).
   friend class IncrementalSession;
 
-  const EvaluationPlan &Plan;
-  /// Owned when compiled privately, null when borrowing a shared plan; CP
-  /// always points at the plan in use, which the embedded exhaustive
-  /// evaluator borrows too, so initial() and update() maintain the same
-  /// per-node sequence caches.
-  std::unique_ptr<const CompiledPlan> OwnedCP;
-  const CompiledPlan *CP;
+  /// Borrowed by the embedded exhaustive evaluator too, so initial() and
+  /// update() maintain the same per-node sequence caches.
+  const CompiledPlan &CP;
   Evaluator Exhaustive;
+  /// The last initial() or update() failed (see update()).
+  bool Failed = false;
   IncrementalStats Stats;
   std::function<bool(const Value &, const Value &)> Equal;
   /// Reusable argument buffer; semantic functions see a span into it.

@@ -52,13 +52,13 @@ IncrementalSession::IncrementalSession(
     const AttributeGrammar &AG, std::shared_ptr<const CompiledArtifact> Bundle,
     UpdateStrategy Strategy)
     : AG(&AG), Bundle(std::move(Bundle)), Strategy(Strategy), T(AG),
-      IE(this->Bundle->Plan, this->Bundle->CP) {
+      IE(this->Bundle->CP) {
   assert(this->Bundle->Plan.AG == &AG &&
          "bundle was generated for a different grammar");
 }
 
 void IncrementalSession::setRootInherited(AttrId A, Value V) {
-  RootInh.emplace_back(A, V);
+  RootInh.set(A, V);
   IE.setRootInherited(A, std::move(V));
 }
 
@@ -234,15 +234,14 @@ bool IncrementalSession::restore(std::span<const uint8_t> Bytes,
   uint32_t NodeCount = M.u32();
   uint64_t Fingerprint = M.u64();
   uint32_t NumRootInh = M.count(5);
-  std::vector<std::pair<AttrId, Value>> NewRootInh;
-  NewRootInh.reserve(NumRootInh);
+  RootInheritedList NewRootInh;
   for (uint32_t I = 0; I != NumRootInh && M.ok(); ++I) {
     uint32_t A = M.u32();
     if (M.ok() && A >= AG->Attrs.size()) {
       M.fail("root-inherited attribute id out of range");
       break;
     }
-    NewRootInh.emplace_back(A, decodeValue(M));
+    NewRootInh.set(A, decodeValue(M));
   }
   if (!M.ok() || M.remaining() != 0)
     return Rej(M, "meta", "trailing bytes");
@@ -397,6 +396,7 @@ bool IncrementalSession::restore(std::span<const uint8_t> Bytes,
   RootInh = std::move(NewRootInh);
   for (const auto &[A, V] : RootInh)
     IE.setRootInherited(A, V);
+  IE.Failed = false;
   IE.Dirty.clear();
   IE.EditSites.clear();
   IE.LexemeChanged.clear();

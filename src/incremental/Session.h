@@ -11,8 +11,8 @@
 /// serializable as one artifact-container file.
 ///
 /// Sharing contract: every session borrows one immutable CompiledArtifact
-/// (plan + compiled instruction streams) obtained from compileArtifact() or
-/// the ArtifactCache. The bundle is read-only after construction; all
+/// (plan + compiled instruction streams): the generator's
+/// GeneratedEvaluator::Compiled. The bundle is read-only after construction; all
 /// mutable state (tree, frames, dirty marks, stamps, log) is per-session,
 /// so any number of sessions may run concurrently on one bundle from
 /// different threads with no locking — the multi-session stress test pins
@@ -30,6 +30,7 @@
 #ifndef FNC2_INCREMENTAL_SESSION_H
 #define FNC2_INCREMENTAL_SESSION_H
 
+#include "eval/BatchDriver.h"
 #include "fnc2/ArtifactCache.h"
 #include "incremental/EditLog.h"
 
@@ -45,7 +46,8 @@ public:
                      UpdateStrategy Strategy = UpdateStrategy::StartAnywhere);
 
   /// Root-inherited attributes must be provided before start() (and are
-  /// recorded so a persisted session carries them).
+  /// recorded so a persisted session carries them). Setting an attribute
+  /// again replaces its value.
   void setRootInherited(AttrId A, Value V);
 
   /// Takes ownership of \p T and computes the initial attribution.
@@ -101,9 +103,9 @@ private:
   Tree T;
   EditLog Log;
   IncrementalEvaluator IE;
-  /// Root-inherited values in the order provided (re-installed on
-  /// restore; later bindings for one attribute shadow earlier ones).
-  std::vector<std::pair<AttrId, Value>> RootInh;
+  /// Root-inherited values, one per attribute in first-set order
+  /// (re-installed on restore).
+  RootInheritedList RootInh;
   bool Started = false;
 };
 

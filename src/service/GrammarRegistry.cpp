@@ -165,7 +165,7 @@ GrammarRegistry::registerSource(const std::string &Source, unsigned OagK,
       Reason = Why;
       return nullptr;
     }
-    Pending->Artifact = compileArtifact(Pending->Gen);
+    Pending->Artifact = Pending->Gen.Compiled;
   }
 
   {

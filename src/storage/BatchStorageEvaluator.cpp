@@ -11,7 +11,7 @@ BatchStorageResult BatchStorageEvaluator::evaluate(std::vector<Tree> &Trees) {
   // an instance across concurrent trees would be meaningless as well as
   // racy.
   return run(Pool, Trees, "batch.storage.tree", [this] {
-    StorageEvaluator E(Plan, SA, Compiled, CompiledSA);
+    StorageEvaluator E(CP, CS);
     E.setMirrorToTree(MirrorToTree);
     return E;
   });

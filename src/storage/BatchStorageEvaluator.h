@@ -7,8 +7,8 @@
 /// \file
 /// The per-tree batch driver of eval/BatchDriver.h over the storage-
 /// optimized evaluator, so the space-optimization ablation also runs
-/// batched. The plan and the StorageAssignment are shared read-only; the
-/// global variables and stacks the assignment prescribes are *per-worker
+/// batched. The compiled plan and storage side table are shared read-only;
+/// the global variables and stacks the assignment prescribes are *per-worker
 /// interpreter state* (one StorageEvaluator instance per tree), since cell
 /// contents are meaningful only within one tree's evaluation.
 ///
@@ -30,10 +30,11 @@ using BatchStorageResult = BatchJoin<StorageStats>;
 class BatchStorageEvaluator
     : public PerTreeBatch<StorageEvaluator, StorageStats> {
 public:
-  BatchStorageEvaluator(const EvaluationPlan &Plan,
-                        const StorageAssignment &SA, ThreadPool &Pool)
-      : Plan(Plan), SA(SA), Pool(Pool), Compiled(Plan),
-        CompiledSA(Compiled, SA) {}
+  /// Borrows the compiled plan and storage side table every worker's
+  /// evaluator shares; both must outlive the batch engine.
+  BatchStorageEvaluator(const CompiledPlan &CP, const CompiledStorage &CS,
+                        ThreadPool &Pool)
+      : CP(CP), CS(CS), Pool(Pool) {}
 
   /// Mirrors every write into the tree slots (differential testing).
   void setMirrorToTree(bool On) { MirrorToTree = On; }
@@ -41,12 +42,9 @@ public:
   BatchStorageResult evaluate(std::vector<Tree> &Trees);
 
 private:
-  const EvaluationPlan &Plan;
-  const StorageAssignment &SA;
+  const CompiledPlan &CP;
+  const CompiledStorage &CS;
   ThreadPool &Pool;
-  /// Compiled once; shared read-only by every worker's evaluator.
-  CompiledPlan Compiled;
-  CompiledStorage CompiledSA;
   bool MirrorToTree = false;
 };
 

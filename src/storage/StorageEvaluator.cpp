@@ -55,31 +55,26 @@ CompiledStorage::CompiledStorage(const CompiledPlan &CP,
                 /*IsCopy=*/bool(SA.CopyEliminated[C.Orig]),
                 /*TargetDies=*/T.isLocal() || T.Pos != 0};
   }
+
+  Attrs.resize(AG.Attrs.size());
+  for (AttrId A = 0; A != AG.Attrs.size(); ++A) {
+    const unsigned Id = SA.Ids.idOfAttr(A);
+    Attrs[A] = {SA.ClassOf[Id], SA.GroupOf[Id]};
+  }
+  NumVarGroups = SA.NumVarGroups;
+  NumStackGroups = SA.NumStackGroups;
 }
 
 //===----------------------------------------------------------------------===//
 // StorageEvaluator
 //===----------------------------------------------------------------------===//
 
-StorageEvaluator::StorageEvaluator(const EvaluationPlan &Plan,
-                                   const StorageAssignment &SA)
-    : Plan(Plan), SA(SA), OwnedCP(std::make_unique<CompiledPlan>(Plan)),
-      CP(OwnedCP.get()), OwnedCS(std::make_unique<CompiledStorage>(*CP, SA)),
-      CS(OwnedCS.get()) {
-  RootInhVals.resize(Plan.AG->Attrs.size());
-  RootInhSet.assign(Plan.AG->Attrs.size(), 0);
-  ArgBuf.resize(CP->MaxRuleArgs);
-}
-
-StorageEvaluator::StorageEvaluator(const EvaluationPlan &Plan,
-                                   const StorageAssignment &SA,
-                                   const CompiledPlan &Compiled,
-                                   const CompiledStorage &CompiledSA)
-    : Plan(Plan), SA(SA), CP(&Compiled), CS(&CompiledSA) {
-  assert(&Compiled.plan() == &Plan && "compiled plan from a different plan");
-  RootInhVals.resize(Plan.AG->Attrs.size());
-  RootInhSet.assign(Plan.AG->Attrs.size(), 0);
-  ArgBuf.resize(CP->MaxRuleArgs);
+StorageEvaluator::StorageEvaluator(const CompiledPlan &CP,
+                                   const CompiledStorage &CS)
+    : CP(CP), CS(CS) {
+  RootInhVals.resize(CP.grammar().Attrs.size());
+  RootInhSet.assign(CP.grammar().Attrs.size(), 0);
+  ArgBuf.resize(CP.MaxRuleArgs);
 }
 
 void StorageEvaluator::setRootInherited(AttrId A, Value V) {
@@ -113,7 +108,7 @@ void StorageEvaluator::countBaseline(TreeNode *Root) {
   appendLevelOrder(Root, WalkBuf);
   size_t TotalSlots = 0;
   for (TreeNode *N : WalkBuf) {
-    const FrameShape &F = CP->frameOf(N->Prod);
+    const FrameShape &F = CP.frameOf(N->Prod);
     const size_t NumSlots = size_t(F.NumAttrs) + F.NumLocals;
     Stats.TreeBaselineCells += NumSlots;
     TotalSlots += NumSlots;
@@ -121,7 +116,7 @@ void StorageEvaluator::countBaseline(TreeNode *Root) {
   CellIdxArena.assign(TotalSlots, -1);
   int64_t *P = CellIdxArena.data();
   for (TreeNode *N : WalkBuf) {
-    const FrameShape &F = CP->frameOf(N->Prod);
+    const FrameShape &F = CP.frameOf(N->Prod);
     N->CellIdx = P;
     P += size_t(F.NumAttrs) + F.NumLocals;
   }
@@ -129,11 +124,11 @@ void StorageEvaluator::countBaseline(TreeNode *Root) {
 
 bool StorageEvaluator::installRootInherited(TreeNode *Root,
                                             DiagnosticEngine &Diags) {
-  const AttributeGrammar &AG = *Plan.AG;
+  const AttributeGrammar &AG = CP.grammar();
   const PhylumId Start = AG.prod(Root->Prod).Lhs;
   // Root installs never die: the write targets position 0, outside every
   // chunk.
-  for (const SlotAttr &IA : CP->InhByPhylum[Start]) {
+  for (const SlotAttr &IA : CP.InhByPhylum[Start]) {
     if (!RootInhSet[IA.Attr]) {
       Diags.error("inherited attribute '" + AG.attr(IA.Attr).Name +
                   "' of the start phylum was not provided");
@@ -141,7 +136,7 @@ bool StorageEvaluator::installRootInherited(TreeNode *Root,
     }
     SlotRef Ref;
     Ref.Slot = IA.Slot;
-    writeSlot(Root, Ref, SA.ClassOf[IA.Attr], SA.GroupOf[IA.Attr],
+    writeSlot(Root, Ref, CS.Attrs[IA.Attr].Class, CS.Attrs[IA.Attr].Group,
               /*Dies=*/false, RootInhVals[IA.Attr]);
   }
   return true;
@@ -176,7 +171,7 @@ const Value *StorageEvaluator::readSlot(TreeNode *N, const SlotRef &Ref,
 
 void StorageEvaluator::mirrorWrite(TreeNode *N, const SlotRef &Ref, Value V) {
   TreeNode *Site = Ref.Kind == SlotRef::K::Self ? N : N->child(Ref.Child);
-  CP->ensureFrame(Site);
+  CP.ensureFrame(Site);
   Site->Slots[Ref.Slot] = std::move(V);
   Site->setSlotComputed(Ref.Slot);
 }
@@ -221,11 +216,11 @@ void StorageEvaluator::writeSlot(TreeNode *N, const SlotRef &Ref,
 bool StorageEvaluator::execCompiledRule(TreeNode *N, uint32_t RI,
                                         size_t DeathBase,
                                         DiagnosticEngine &Diags) {
-  const CompiledRule &R = CP->Rules[RI];
-  const CompiledStorage::RuleInfo &SR = CS->Rules[RI];
+  const CompiledRule &R = CP.Rules[RI];
+  const CompiledStorage::RuleInfo &SR = CS.Rules[RI];
 
   if (!R.Fn) {
-    const AttributeGrammar &AG = *Plan.AG;
+    const AttributeGrammar &AG = CP.grammar();
     const SemanticRule &Rule = AG.rule(R.Orig);
     Diags.error("rule for '" + AG.occName(Rule.Prod, Rule.Target) +
                 "' has no semantic function");
@@ -237,7 +232,7 @@ bool StorageEvaluator::execCompiledRule(TreeNode *N, uint32_t RI,
   if (SR.IsCopy) {
     ++Stats.CopiesSkipped;
     FNC2_COUNT("storage.copies_skipped", 1);
-    const SlotRef &Src = CP->Args[R.FirstArg];
+    const SlotRef &Src = CP.Args[R.FirstArg];
     if (SR.Class == StorageClass::Stack) {
       TreeNode *SrcSite =
           Src.Kind == SlotRef::K::Self ? N : N->child(Src.Child);
@@ -259,7 +254,7 @@ bool StorageEvaluator::execCompiledRule(TreeNode *N, uint32_t RI,
       TSite->CellIdx[T.Slot] = Idx;
     }
     if (MirrorToTree)
-      mirrorWrite(N, R.Target, *readSlot(N, Src, CS->Args[R.FirstArg]));
+      mirrorWrite(N, R.Target, *readSlot(N, Src, CS.Args[R.FirstArg]));
     ++Stats.RulesEvaluated;
     FNC2_COUNT("storage.rules", 1);
     return true;
@@ -267,7 +262,7 @@ bool StorageEvaluator::execCompiledRule(TreeNode *N, uint32_t RI,
 
   Value *Buf = ArgBuf.data();
   for (unsigned I = 0; I != R.NumArgs; ++I)
-    Buf[I] = *readSlot(N, CP->Args[R.FirstArg + I], CS->Args[R.FirstArg + I]);
+    Buf[I] = *readSlot(N, CP.Args[R.FirstArg + I], CS.Args[R.FirstArg + I]);
   Value Result = (*R.Fn)(std::span<const Value>(Buf, R.NumArgs));
   writeSlot(N, R.Target, SR.Class, SR.Group, SR.TargetDies,
             std::move(Result));
@@ -289,7 +284,7 @@ struct StorageEvaluator::Walk : TreeVisitPolicy {
   static constexpr const char *Span = "storage.visit";
 
   Walk(StorageEvaluator &E, DiagnosticEngine &Diags)
-      : TreeVisitPolicy(*E.CP, Diags), E(E) {}
+      : TreeVisitPolicy(E.CP, Diags), E(E) {}
 
   void enter(auto &F) { F.X.DeathBase = E.DeathBuf.size(); }
   bool eval(auto &F, const CompiledInstr &I) {
@@ -341,9 +336,9 @@ bool StorageEvaluator::evaluate(Tree &T, DiagnosticEngine &Diags) {
     return false;
   }
   T.resetAttributes();
-  Vars.assign(SA.NumVarGroups, Value());
-  VarSet.assign(SA.NumVarGroups, 0);
-  Stacks.assign(SA.NumStackGroups, StackGroup());
+  Vars.assign(CS.NumVarGroups, Value());
+  VarSet.assign(CS.NumVarGroups, 0);
+  Stacks.assign(CS.NumStackGroups, StackGroup());
   TreeCellsLive = 0;
   VarsLive = 0;
   DeathBuf.clear();
@@ -351,12 +346,12 @@ bool StorageEvaluator::evaluate(Tree &T, DiagnosticEngine &Diags) {
 
   countBaseline(Root);
 
-  Root->PartitionId = Plan.RootPartition;
-  CP->ensureFrame(Root);
+  Root->PartitionId = CP.plan().RootPartition;
+  CP.ensureFrame(Root);
 
   if (!installRootInherited(Root, Diags))
     return false;
 
   Walk W(*this, Diags);
-  return VisitDriver<Walk>(*CP, W).runNode(Root, Plan.RootPartition);
+  return VisitDriver<Walk>(CP, W).runNode(Root, CP.plan().RootPartition);
 }

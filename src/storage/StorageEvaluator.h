@@ -89,6 +89,10 @@ struct CompiledStorage {
   };
   std::vector<Ref> Args;       ///< Parallel to CompiledPlan::Args.
   std::vector<RuleInfo> Rules; ///< Parallel to CompiledPlan::Rules.
+  /// By AttrId: where each attribute lives, for root-inherited installs.
+  std::vector<Ref> Attrs;
+  unsigned NumVarGroups = 0;
+  unsigned NumStackGroups = 0;
 
   /// Empty side tables, for a plan generated without the space optimization.
   CompiledStorage() = default;
@@ -100,14 +104,10 @@ struct CompiledStorage {
 /// Evaluates an EvaluationPlan under a StorageAssignment.
 class StorageEvaluator {
 public:
-  /// Compiles the plan (and its storage side table) privately.
-  StorageEvaluator(const EvaluationPlan &Plan, const StorageAssignment &SA);
-  /// Borrows already-compiled state (the batch engine compiles once and
-  /// shares it across workers). \p Compiled / \p CompiledSA must outlive
-  /// the evaluator and have been compiled from \p Plan / \p SA.
-  StorageEvaluator(const EvaluationPlan &Plan, const StorageAssignment &SA,
-                   const CompiledPlan &Compiled,
-                   const CompiledStorage &CompiledSA);
+  /// Borrows the compiled plan and its storage side table (the generator's
+  /// bundle, shared by every engine and worker). \p CP and \p CS must
+  /// outlive the evaluator, and \p CS must have been compiled from \p CP.
+  StorageEvaluator(const CompiledPlan &CP, const CompiledStorage &CS);
 
   /// Slot-indexed by attribute id: O(1).
   void setRootInherited(AttrId A, Value V);
@@ -150,12 +150,8 @@ private:
   void noteLiveCells();
   void shrinkDeadSuffix(StackGroup &G);
 
-  const EvaluationPlan &Plan;
-  const StorageAssignment &SA;
-  std::unique_ptr<const CompiledPlan> OwnedCP;
-  const CompiledPlan *CP;
-  std::unique_ptr<const CompiledStorage> OwnedCS;
-  const CompiledStorage *CS;
+  const CompiledPlan &CP;
+  const CompiledStorage &CS;
   StorageStats Stats;
   bool MirrorToTree = false;
   /// Root-inherited values indexed by AttrId.

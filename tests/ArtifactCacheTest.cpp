@@ -213,7 +213,7 @@ TEST(ArtifactCacheTest, GeneratorMissStoreHitFlow) {
   ASSERT_TRUE(Cold.Success) << D1.dump();
   EXPECT_FALSE(Cold.FromCache);
   EXPECT_TRUE(Cold.Compiled != nullptr)
-      << "storing populates the compiled bundle";
+      << "a cold generation carries the compiled bundle";
 
   DiagnosticEngine D2;
   GeneratedEvaluator Warm = generateEvaluator(AG, D2, Opts);
@@ -227,6 +227,33 @@ TEST(ArtifactCacheTest, GeneratorMissStoreHitFlow) {
 
   // The warm evaluator is fully usable.
   runFamily(AG, Warm, 3, 100, 11);
+}
+
+TEST(ArtifactCacheTest, CachelessGenerationCarriesTheCompiledBundle) {
+  DiagnosticEngine Diags;
+  AttributeGrammar AG = workloads::deskCalculator(Diags);
+  ASSERT_FALSE(Diags.hasErrors());
+
+  // No cache directory: the generator still builds the bundle every
+  // engine borrows, anchored to the bundle's own plan copy.
+  GeneratorOptions NoCache;
+  DiagnosticEngine D1;
+  GeneratedEvaluator Plain = generateEvaluator(AG, D1, NoCache);
+  ASSERT_TRUE(Plain.Success) << D1.dump();
+  EXPECT_FALSE(Plain.FromCache);
+  ASSERT_TRUE(Plain.Compiled != nullptr);
+  EXPECT_EQ(&Plain.Compiled->CP.plan(), &Plain.Compiled->Plan);
+  EXPECT_TRUE(Plain.Compiled->HasStorage);
+
+  // It is the same generation a cold run through the cache stores.
+  GeneratorOptions Cached;
+  Cached.CacheDir = freshCacheDir("cacheless");
+  DiagnosticEngine D2;
+  GeneratedEvaluator Cold = generateEvaluator(AG, D2, Cached);
+  ASSERT_TRUE(Cold.Success) << D2.dump();
+  EXPECT_FALSE(Cold.FromCache);
+  EXPECT_EQ(ArtifactCache::encode(AG, NoCache, Plain),
+            ArtifactCache::encode(AG, Cached, Cold));
 }
 
 TEST(ArtifactCacheTest, KeyedAndKeylessGenerationShareOneArtifact) {

@@ -141,7 +141,7 @@ void stressSharedPlan(const SharedPlanCase &C, unsigned NumThreads,
   for (ThreadWork &W : Work)
     for (unsigned I = 0; I != TreesPerThread; ++I) {
       Tree T = Gen.generate(80 + 17 * I);
-      Evaluator E(C.GE.Plan);
+      Evaluator E(C.GE.Compiled->CP);
       DiagnosticEngine D;
       ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
       const TreeNode *Root = T.root();
@@ -156,7 +156,7 @@ void stressSharedPlan(const SharedPlanCase &C, unsigned NumThreads,
       ThreadWork &W = Work[TI];
       for (unsigned R = 0; R != Rounds; ++R)
         for (unsigned I = 0; I != TreesPerThread; ++I) {
-          Evaluator E(C.GE.Plan);
+          Evaluator E(C.GE.Compiled->CP);
           DiagnosticEngine D;
           if (!E.evaluate(W.Trees[I], D)) {
             ++Failures;
@@ -185,14 +185,14 @@ TEST(ConcurrencyStressTest, ManyThreadsShareOneMolgaPlan) {
 TEST(ConcurrencyStressTest, BatchEvaluatorRepeatedOverSharedPlan) {
   SharedPlanCase C = molgaCase();
   ThreadPool Pool(8);
-  BatchEvaluator BE(C.GE.Plan, Pool);
+  BatchEvaluator BE(C.GE.Compiled->CP, Pool);
 
   TreeGenerator Gen(C.AG, 9);
   std::vector<Tree> Trees;
   std::vector<Value> RefOut;
   for (unsigned I = 0; I != 32; ++I) {
     Tree T = Gen.generate(60 + 5 * I);
-    Evaluator E(C.GE.Plan);
+    Evaluator E(C.GE.Compiled->CP);
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
     RefOut.push_back(T.root()->attrVal(0));
@@ -213,7 +213,7 @@ TEST(ConcurrencyStressTest, BatchEvaluatorRepeatedOverSharedPlan) {
 TEST(ConcurrencyStressTest, BatchStorageEvaluatorRepeatedOverSharedPlan) {
   SharedPlanCase C = deskCase();
   ThreadPool Pool(8);
-  BatchStorageEvaluator BSE(C.GE.Plan, C.GE.Storage, Pool);
+  BatchStorageEvaluator BSE(C.GE.Compiled->CP, C.GE.Compiled->CS, Pool);
   BSE.setMirrorToTree(true);
 
   TreeGenerator Gen(C.AG, 21);
@@ -236,7 +236,7 @@ TEST(ConcurrencyStressTest, MergedEvaluatorShardsCohortsOverSharedPlan) {
   // gates the per-shard isolation contract.
   SharedPlanCase C = molgaCase();
   ThreadPool Pool(8);
-  MergedBatchEvaluator ME(C.GE.Plan, Pool);
+  MergedBatchEvaluator ME(C.GE.Compiled->CP, Pool);
   ME.setCohortThreshold(2);
   ME.setShardMaxMembers(4); // 12 clones per shape -> 3 shards per cohort
 
@@ -245,7 +245,7 @@ TEST(ConcurrencyStressTest, MergedEvaluatorShardsCohortsOverSharedPlan) {
   std::vector<Value> RefOut;
   for (unsigned I = 0; I != 8; ++I) {
     Tree T = Gen.generate(40 + 11 * I);
-    Evaluator E(C.GE.Plan);
+    Evaluator E(C.GE.Compiled->CP);
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
     RefOut.push_back(T.root()->attrVal(0));
@@ -313,7 +313,7 @@ TEST(ConcurrencyStressTest, FailingTreesCannotPoisonTheBatch) {
   ASSERT_TRUE(GE.Success) << GD.dump();
 
   ThreadPool Pool(8);
-  BatchEvaluator BE(GE.Plan, Pool);
+  BatchEvaluator BE(GE.Compiled->CP, Pool);
   std::vector<Tree> Trees;
   for (unsigned I = 0; I != 16; ++I) {
     DiagnosticEngine D;

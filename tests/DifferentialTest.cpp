@@ -89,13 +89,13 @@ TEST(DifferentialTest, BatchStatsMergeMatchesSequential) {
   uint64_t MaxPeak = 0;
   for (const Tree &T : Sources) {
     Tree A = cloneTree(AG, T);
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(A, D)) << D.dump();
     SeqEval.merge(E.stats());
 
     Tree B = cloneTree(AG, T);
-    StorageEvaluator SE(GE.Plan, GE.Storage);
+    StorageEvaluator SE(GE.Compiled->CP, GE.Compiled->CS);
     ASSERT_TRUE(SE.evaluate(B, D)) << D.dump();
     SeqStorage.merge(SE.stats());
     MaxPeak = std::max(MaxPeak, SE.stats().PeakLiveCells);
@@ -108,7 +108,7 @@ TEST(DifferentialTest, BatchStatsMergeMatchesSequential) {
     std::vector<Tree> Batch;
     for (const Tree &T : Sources)
       Batch.push_back(cloneTree(AG, T));
-    BatchEvaluator BE(GE.Plan, Pool);
+    BatchEvaluator BE(GE.Compiled->CP, Pool);
     BatchResult R = BE.evaluate(Batch);
     ASSERT_TRUE(R.allSucceeded());
     EXPECT_EQ(R.Stats.RulesEvaluated, SeqEval.RulesEvaluated);
@@ -119,7 +119,7 @@ TEST(DifferentialTest, BatchStatsMergeMatchesSequential) {
     std::vector<Tree> Batch;
     for (const Tree &T : Sources)
       Batch.push_back(cloneTree(AG, T));
-    BatchStorageEvaluator BSE(GE.Plan, GE.Storage, Pool);
+    BatchStorageEvaluator BSE(GE.Compiled->CP, GE.Compiled->CS, Pool);
     BatchStorageResult R = BSE.evaluate(Batch);
     ASSERT_TRUE(R.allSucceeded());
     EXPECT_EQ(R.Stats.RulesEvaluated, SeqStorage.RulesEvaluated);
@@ -135,7 +135,7 @@ TEST(DifferentialTest, BatchStatsMergeMatchesSequential) {
     std::vector<Tree> Batch;
     for (const Tree &T : Sources)
       Batch.push_back(cloneTree(AG, T));
-    MergedBatchEvaluator ME(GE.Plan, Pool);
+    MergedBatchEvaluator ME(GE.Compiled->CP, Pool);
     ME.setCohortThreshold(Threshold);
     BatchResult R = ME.evaluate(Batch);
     ASSERT_TRUE(R.allSucceeded());
@@ -178,7 +178,7 @@ TEST(DifferentialTest, MiniPascalCompiledMatchesInterpreted) {
     ASSERT_FALSE(PD.hasErrors()) << PD.dump();
 
     Tree Compiled = cloneTree(AG, T);
-    Evaluator CE(GE.Plan);
+    Evaluator CE(GE.Compiled->CP);
     DiagnosticEngine D1;
     ASSERT_TRUE(CE.evaluate(Compiled, D1)) << D1.dump();
 
@@ -192,7 +192,7 @@ TEST(DifferentialTest, MiniPascalCompiledMatchesInterpreted) {
         << "demand evaluation never runs more rules than the exhaustive one";
 
     Tree Storage = cloneTree(AG, T);
-    StorageEvaluator SE(GE.Plan, GE.Storage);
+    StorageEvaluator SE(GE.Compiled->CP, GE.Compiled->CS);
     SE.setMirrorToTree(true);
     DiagnosticEngine D3;
     ASSERT_TRUE(SE.evaluate(Storage, D3)) << D3.dump();

@@ -77,7 +77,7 @@ struct SessionRig {
     DiagnosticEngine GD;
     GE = generateEvaluator(AG, GD);
     EXPECT_TRUE(GE.Success) << GD.dump();
-    Bundle = compileArtifact(GE);
+    Bundle = GE.Compiled;
   }
 
   Tree startTree(uint64_t Seed, unsigned Size) {
@@ -287,7 +287,7 @@ TEST(EditLogDeterminism, ReplayMatchesFromScratchOracle) {
               writeTerm(Rig.AG, S->tree().root()));
     // ...and its attribution equals a from-scratch evaluation of it.
     Tree Check = cloneTree(Rig.AG, S->tree());
-    Evaluator Full(Rig.GE.Plan);
+    Evaluator Full(Rig.GE.Compiled->CP);
     ASSERT_TRUE(Full.evaluate(Check, D)) << D.dump();
     expectSameAttribution(Rig.AG, Check.root(), S->tree().root(),
                           Rig.AG.Name + "/replayed");
@@ -436,6 +436,27 @@ TEST(SessionPersistence, RefusesToSaveMidEdit) {
   EXPECT_TRUE(S->encode(Bytes, Why)) << Why;
 }
 
+TEST(SessionPersistence, SettingARootInheritedValueAgainReplacesIt) {
+  SessionRig Rig(workloads::deskCalculator);
+  // The session records and re-installs any attribute it is given; desk's
+  // start phylum needs none, so Exp.env serves as the recorded attribute.
+  const AttrId Env = Rig.AG.findAttr(Rig.AG.findPhylum("Exp"), "env");
+  ASSERT_NE(Env, InvalidId);
+  auto Twice = Rig.freshSession(), Once = Rig.freshSession();
+  Twice->setRootInherited(Env, Value::ofInt(1));
+  Twice->setRootInherited(Env, Value::ofInt(2));
+  Once->setRootInherited(Env, Value::ofInt(2));
+  DiagnosticEngine D;
+  ASSERT_TRUE(Twice->start(Rig.startTree(3, 200), D)) << D.dump();
+  ASSERT_TRUE(Once->start(Rig.startTree(3, 200), D)) << D.dump();
+
+  std::vector<uint8_t> TwiceBytes, OnceBytes;
+  std::string Why;
+  ASSERT_TRUE(Twice->encode(TwiceBytes, Why)) << Why;
+  ASSERT_TRUE(Once->encode(OnceBytes, Why)) << Why;
+  EXPECT_EQ(TwiceBytes, OnceBytes) << "the saved session keeps one entry";
+}
+
 TEST(SessionPersistence, SpecGenSweepRoundTripsBitIdentically) {
   auto Suite = workloads::systemAgSuite();
   ASSERT_GE(Suite.size(), 7u);
@@ -452,7 +473,7 @@ TEST(SessionPersistence, SpecGenSweepRoundTripsBitIdentically) {
     Opts.OagK = Ag.OagK;
     GeneratedEvaluator GE = generateEvaluator(AG, GD, Opts);
     ASSERT_TRUE(GE.Success) << Ag.Name << ": " << GD.dump();
-    std::shared_ptr<const CompiledArtifact> Bundle = compileArtifact(GE);
+    std::shared_ptr<const CompiledArtifact> Bundle = GE.Compiled;
 
     IncrementalSession Live(AG, Bundle);
     provideRootInherited(AG, Live);
@@ -567,7 +588,7 @@ TEST(SessionFuzz, ResumedSessionsMatchLiveAcrossRandomScripts) {
 
     // Both equal the from-scratch oracle on the final tree.
     Tree Check = cloneTree(Rig.AG, Live->tree());
-    Evaluator Full(Rig.GE.Plan);
+    Evaluator Full(Rig.GE.Compiled->CP);
     ASSERT_TRUE(Full.evaluate(Check, D)) << D.dump();
     expectSameAttribution(Rig.AG, Check.root(), Resumed->tree().root(),
                           "fuzz seed " + std::to_string(Seed));

@@ -41,7 +41,8 @@ TEST(EvalTest, DeskCalculatorArithmetic) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
 
   struct Case {
     const char *Term;
@@ -70,7 +71,8 @@ TEST(EvalTest, BinaryNumbersIntegerPart) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::binaryNumbers(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DiagnosticEngine D;
   // 1101 = 13; values are in 1/1024 fixed point.
   Tree T = readTerm(
@@ -84,7 +86,8 @@ TEST(EvalTest, BinaryNumbersFraction) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::binaryNumbers(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DiagnosticEngine D;
   // 1.11 = 1 + 1/2 + 1/4 = 1.75 => 1792/1024.
   Tree T = readTerm(AG, "Fraction(Single(One),Pair(Single(One),One))", D);
@@ -97,7 +100,8 @@ TEST(EvalTest, RepminBroadcast) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::repmin(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Top(Fork(Fork(Leaf<5>,Leaf<2>),Leaf<9>))", D);
   ASSERT_FALSE(D.hasErrors()) << D.dump();
@@ -116,7 +120,8 @@ TEST(EvalTest, TwoContextGrammarUsesPartitionCarryingVisits) {
   EvaluationPlan Plan;
   DiagnosticEngine D;
   ASSERT_TRUE(buildVisitSequences(AG, TR, Plan, D)) << D.dump();
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
 
   // CtxA: h1=100, s1=h1+1=101, h2=s1+1=102, s2=h2+1=103, out=s2.
   Tree TA = readTerm(AG, "Top(CtxA(LeafX))", D);
@@ -138,7 +143,8 @@ TEST(EvalTest, DncNotOagGrammarEvaluates) {
   EvaluationPlan Plan;
   DiagnosticEngine D;
   ASSERT_TRUE(buildVisitSequences(AG, TR, Plan, D)) << D.dump();
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   // Conflict12(LeafX, LeafX): left h1=10 -> s1=11; right h1=s1+1=12 ->
   // s1=13; right h2=20 -> s2=21; left h2=s2+1=22 -> s2=23;
   // out = left.s2 + right.s1 = 23 + 13 = 36.
@@ -151,7 +157,8 @@ TEST(EvalTest, Oag1GrammarEvaluates) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::oag1Grammar(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DiagnosticEngine D;
   // Same dataflow as the Conflict12 case of the triangle grammar.
   Tree T = readTerm(AG, "Conflict(LeafX,LeafX)", D);
@@ -163,7 +170,8 @@ TEST(EvalTest, StatsCountRulesAndVisits) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Calc(Add(Num<1>,Num<2>))", D);
   ASSERT_TRUE(E.evaluate(T, D));
@@ -177,7 +185,8 @@ TEST(EvalTest, StatsExportToMetricsRegistry) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Calc(Mul(Num<3>,Num<4>))", D);
   ASSERT_TRUE(E.evaluate(T, D));
@@ -205,12 +214,13 @@ TEST(EvalTest, DemandEvaluatesNoMoreRulesThanExhaustive) {
                           : GrammarIdx == 1 ? workloads::binaryNumbers(Diags)
                                             : workloads::repmin(Diags);
     EvaluationPlan Plan = planFor(AG);
+    CompiledPlan CP(Plan);
     TreeGenerator Gen(AG, 41 + GrammarIdx);
     Tree T = Gen.generate(200);
     Tree T2(AG);
     T2.setRoot(T.clone(T.root()));
 
-    Evaluator E(Plan);
+    Evaluator E(CP);
     DemandEvaluator DE(AG);
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
@@ -233,7 +243,8 @@ TEST(EvalTest, MissingRootInheritedReported) {
   ASSERT_FALSE(Diags.hasErrors());
 
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Leaf", D);
   EXPECT_FALSE(E.evaluate(T, D));
@@ -250,7 +261,8 @@ TEST(EvalTest, DemandEvaluatorAgreesWithVisitSequences) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DemandEvaluator DE(AG);
 
   TreeGenerator Gen(AG, 99);
@@ -269,7 +281,8 @@ TEST(EvalTest, DemandEvaluatorAgreesOnTwoVisitGrammar) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::repmin(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DemandEvaluator DE(AG);
   TreeGenerator Gen(AG, 5);
   for (unsigned Round = 0; Round != 5; ++Round) {
@@ -297,7 +310,8 @@ TEST(EvalTest, ExhaustiveEvaluationFillsEveryInstance) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::binaryNumbers(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   TreeGenerator Gen(AG, 17);
   Tree T = Gen.generate(120);
   DiagnosticEngine D;
@@ -330,7 +344,8 @@ TEST_P(EvalAgreementTest, StaticAndDemandAgree) {
                                           : workloads::repmin(Diags);
   ASSERT_FALSE(Diags.hasErrors());
   EvaluationPlan Plan = planFor(AG);
-  Evaluator E(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator E(CP);
   DemandEvaluator DE(AG);
 
   TreeGenerator Gen(AG, Seed);

@@ -78,12 +78,13 @@ inline void expectSameAttribution(const AttributeGrammar &AG,
     expectSameAttribution(AG, Ref->child(I), Got->child(I), Tag);
 }
 
-/// Everything an engine runner needs: the generation under test, the
-/// source trees, the sequential exhaustive reference attribution with its
-/// per-tree and summed stats, and a shared pool for the batch engines.
+/// Everything an engine runner needs: the compiled bundle of the
+/// generation under test, which every engine borrows, the source trees, the
+/// sequential exhaustive reference attribution with its per-tree and summed
+/// stats, and a shared pool for the batch engines.
 struct EngineContext {
   const AttributeGrammar &AG;
-  const GeneratedEvaluator &GE;
+  const CompiledArtifact &A;
   const std::vector<Tree> &Sources;
   const std::vector<Tree> &Reference;
   const std::vector<EvalStats> &RefStats;
@@ -124,7 +125,7 @@ inline void runDemand(const EngineContext &C) {
 inline void runStorage(const EngineContext &C) {
   for (unsigned I = 0; I != C.numTrees(); ++I) {
     Tree T = cloneTree(C.AG, C.Sources[I]);
-    StorageEvaluator SE(C.GE.Plan, C.GE.Storage);
+    StorageEvaluator SE(C.A.CP, C.A.CS);
     SE.setMirrorToTree(true);
     provideRootInherited(C.AG, SE);
     DiagnosticEngine D;
@@ -137,36 +138,6 @@ inline void runStorage(const EngineContext &C) {
   }
 }
 
-// Engines borrowing the artifact bundle's compiled state (only
-// when the generation carried one — cache hit or store).
-inline void runArtifactBorrowed(const EngineContext &C) {
-  if (!C.GE.Compiled)
-    return;
-  const CompiledArtifact &A = *C.GE.Compiled;
-  for (unsigned I = 0; I != C.numTrees(); ++I) {
-    Tree T = cloneTree(C.AG, C.Sources[I]);
-    Evaluator E(A.Plan, A.CP);
-    provideRootInherited(C.AG, E);
-    DiagnosticEngine D;
-    ASSERT_TRUE(E.evaluate(T, D)) << C.AG.Name << ": " << D.dump();
-    expectSameAttribution(C.AG, C.Reference[I].root(), T.root(),
-                          C.AG.Name + "/artifact-borrowed");
-    EXPECT_EQ(E.stats().RulesEvaluated, C.RefStats[I].RulesEvaluated)
-        << C.AG.Name << "/artifact-borrowed tree " << I;
-  }
-  if (A.HasStorage)
-    for (unsigned I = 0; I != C.numTrees(); ++I) {
-      Tree T = cloneTree(C.AG, C.Sources[I]);
-      StorageEvaluator SE(A.Plan, C.GE.Storage, A.CP, A.CS);
-      SE.setMirrorToTree(true);
-      provideRootInherited(C.AG, SE);
-      DiagnosticEngine D;
-      ASSERT_TRUE(SE.evaluate(T, D)) << C.AG.Name << ": " << D.dump();
-      expectSameAttribution(C.AG, C.Reference[I].root(), T.root(),
-                            C.AG.Name + "/artifact-borrowed-storage");
-    }
-}
-
 // The batch engine matches the sequential evaluator on every tree, and the
 // worker stats merged on join equal the sequential totals: same trees, same
 // plan, no work lost or double-counted across workers.
@@ -174,7 +145,7 @@ inline void runBatch(const EngineContext &C) {
   std::vector<Tree> Batch;
   for (const Tree &T : C.Sources)
     Batch.push_back(cloneTree(C.AG, T));
-  BatchEvaluator BE(C.GE.Plan, C.Pool);
+  BatchEvaluator BE(C.A.CP, C.Pool);
   provideRootInherited(C.AG, BE);
   BatchResult R = BE.evaluate(Batch);
   ASSERT_TRUE(R.allSucceeded())
@@ -193,7 +164,7 @@ inline void runBatchStorage(const EngineContext &C) {
   std::vector<Tree> Batch;
   for (const Tree &T : C.Sources)
     Batch.push_back(cloneTree(C.AG, T));
-  BatchStorageEvaluator BSE(C.GE.Plan, C.GE.Storage, C.Pool);
+  BatchStorageEvaluator BSE(C.A.CP, C.A.CS, C.Pool);
   BSE.setMirrorToTree(true);
   provideRootInherited(C.AG, BSE);
   BatchStorageResult R = BSE.evaluate(Batch);
@@ -215,7 +186,7 @@ inline void runMergedBatch(const EngineContext &C) {
     Batch.push_back(cloneTree(C.AG, T));
     Batch.push_back(cloneTree(C.AG, T));
   }
-  MergedBatchEvaluator ME(C.GE.Plan, C.Pool);
+  MergedBatchEvaluator ME(C.A.CP, C.Pool);
   ME.setCohortThreshold(1);
   provideRootInherited(C.AG, ME);
   BatchResult R = ME.evaluate(Batch);
@@ -250,14 +221,13 @@ inline void runMergedBatch(const EngineContext &C) {
 inline void runNative(const EngineContext &C) {
   if (!NativeBackend::available())
     return;
-  CompiledPlan CP(C.GE.Plan);
-  NativeBuildResult B = NativeBackend::shared().build(C.AG, CP);
+  NativeBuildResult B = NativeBackend::shared().build(C.AG, C.A.CP);
   if (B.Unavailable)
     return;
   ASSERT_TRUE(B.Module) << C.AG.Name << "/native: " << B.Reason;
   for (unsigned I = 0; I != C.numTrees(); ++I) {
     Tree T = cloneTree(C.AG, C.Sources[I]);
-    NativeEvaluator NE(CP, B.Module);
+    NativeEvaluator NE(C.A.CP, B.Module);
     provideRootInherited(C.AG, NE);
     DiagnosticEngine D;
     ASSERT_TRUE(NE.evaluate(T, D)) << C.AG.Name << ": " << D.dump();
@@ -282,8 +252,7 @@ inline void runNative(const EngineContext &C) {
 inline void runNativeMerged(const EngineContext &C) {
   if (!NativeBackend::available())
     return;
-  CompiledPlan CP(C.GE.Plan);
-  NativeBuildResult B = NativeBackend::shared().build(C.AG, CP);
+  NativeBuildResult B = NativeBackend::shared().build(C.AG, C.A.CP);
   if (B.Unavailable)
     return;
   ASSERT_TRUE(B.Module) << C.AG.Name << "/native-merged: " << B.Reason;
@@ -292,8 +261,8 @@ inline void runNativeMerged(const EngineContext &C) {
     Batch.push_back(cloneTree(C.AG, T));
     Batch.push_back(cloneTree(C.AG, T));
   }
-  NativeCohortKernel K(CP, B.Module);
-  MergedBatchEvaluator NM(C.GE.Plan, CP, C.Pool);
+  NativeCohortKernel K(C.A.CP, B.Module);
+  MergedBatchEvaluator NM(C.A.CP, C.Pool);
   NM.setKernel(&K);
   NM.setCohortThreshold(1);
   provideRootInherited(C.AG, NM);
@@ -323,7 +292,6 @@ inline std::span<const EngineSpec> engineFamily() {
   static constexpr EngineSpec Family[] = {
       {"demand", familydetail::runDemand},
       {"storage", familydetail::runStorage},
-      {"artifact-borrowed", familydetail::runArtifactBorrowed},
       {"batch", familydetail::runBatch},
       {"batch-storage", familydetail::runBatchStorage},
       {"merged-batch", familydetail::runMergedBatch},
@@ -335,10 +303,13 @@ inline std::span<const EngineSpec> engineFamily() {
 
 /// Runs the whole registered family over \p NumTrees generated trees of
 /// \p AG and cross-checks every engine against the sequential exhaustive
-/// evaluator.
+/// evaluator. Every engine, the reference included, borrows GE.Compiled:
+/// none compiles a plan of its own.
 inline void runFamily(const AttributeGrammar &AG, const GeneratedEvaluator &GE,
                       unsigned NumTrees, unsigned TreeSize, uint64_t Seed) {
   ASSERT_TRUE(GE.Success) << AG.Name;
+  ASSERT_TRUE(GE.Compiled) << AG.Name << ": no compiled bundle";
+  const CompiledArtifact &A = *GE.Compiled;
   TreeGenerator Gen(AG, Seed);
 
   std::vector<Tree> Sources;
@@ -352,7 +323,7 @@ inline void runFamily(const AttributeGrammar &AG, const GeneratedEvaluator &GE,
   EvalStats SeqTotal;
   for (const Tree &T : Sources) {
     Tree R = cloneTree(AG, T);
-    Evaluator E(GE.Plan);
+    Evaluator E(A.CP);
     provideRootInherited(AG, E);
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(R, D)) << AG.Name << ": " << D.dump();
@@ -362,7 +333,7 @@ inline void runFamily(const AttributeGrammar &AG, const GeneratedEvaluator &GE,
   }
 
   ThreadPool Pool(4);
-  EngineContext Ctx{AG, GE, Sources, Reference, RefStats, SeqTotal, Pool};
+  EngineContext Ctx{AG, A, Sources, Reference, RefStats, SeqTotal, Pool};
   for (const EngineSpec &Spec : engineFamily()) {
     SCOPED_TRACE(std::string(AG.Name) + "/" + Spec.Name);
     Spec.Run(Ctx);

@@ -95,7 +95,7 @@ TEST_P(FuzzSpecTest, CascadeIsCleanAndDeterministic) {
   // End-to-end: a generated tree evaluates cleanly.
   TreeGenerator Gen(AG, C.Seed * 7919 + 13);
   Tree T = Gen.generate(120);
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   DiagnosticEngine ED;
   ASSERT_TRUE(E.evaluate(T, ED)) << ED.dump();
   EXPECT_FALSE(ED.hasErrors()) << ED.dump();

@@ -112,7 +112,7 @@ TEST_P(IncrementalOracleTest, EditSequenceMatchesFromScratchOracle) {
 
   TreeGenerator Gen(AG, P.Seed);
   Tree T = Gen.generate(220 + (P.Seed % 7) * 40);
-  IncrementalEvaluator IE(GE.Plan);
+  IncrementalEvaluator IE(GE.Compiled->CP);
   DiagnosticEngine D;
   ASSERT_TRUE(IE.initial(T, D)) << D.dump();
 
@@ -136,7 +136,7 @@ TEST_P(IncrementalOracleTest, EditSequenceMatchesFromScratchOracle) {
     // identical attribution everywhere.
     Tree Check(AG);
     Check.setRoot(T.clone(T.root()));
-    Evaluator Full(GE.Plan);
+    Evaluator Full(GE.Compiled->CP);
     ASSERT_TRUE(Full.evaluate(Check, D)) << D.dump();
     expectSameAttribution(AG, Check.root(), T.root(),
                           AG.Name + "/edit" + std::to_string(Edit));
@@ -227,7 +227,7 @@ TEST_P(LargeSessionOracleTest, LongSessionMatchesOracleWithProportionalWork) {
   GeneratedEvaluator GE = generateEvaluator(AG, GD);
   ASSERT_TRUE(GE.Success) << GD.dump();
 
-  IncrementalSession S(AG, compileArtifact(GE), Strategy);
+  IncrementalSession S(AG, GE.Compiled, Strategy);
   TreeGenerator Gen(AG, P.Seed);
   DiagnosticEngine D;
   ASSERT_TRUE(S.start(Gen.generate(2500), D)) << D.dump();
@@ -247,7 +247,7 @@ TEST_P(LargeSessionOracleTest, LongSessionMatchesOracleWithProportionalWork) {
     if (Edit % OracleEvery == 0) {
       Tree Check(AG);
       Check.setRoot(S.tree().clone(S.tree().root()));
-      Evaluator Full(GE.Plan);
+      Evaluator Full(GE.Compiled->CP);
       ASSERT_TRUE(Full.evaluate(Check, D)) << D.dump();
       FullRules = Full.stats().RulesEvaluated;
       expectSameAttribution(AG, Check.root(), S.tree().root(),

@@ -36,7 +36,8 @@ TEST(IncrementalTest, SimpleEditPropagates) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  IncrementalEvaluator IE(Plan);
+  CompiledPlan CP(Plan);
+  IncrementalEvaluator IE(CP);
 
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Calc(Add(Num<1>,Num<2>))", D);
@@ -54,7 +55,8 @@ TEST(IncrementalTest, EqualValueCutsPropagation) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  IncrementalEvaluator IE(Plan);
+  CompiledPlan CP(Plan);
+  IncrementalEvaluator IE(CP);
 
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Calc(Add(Num<1>,Add(Num<2>,Num<0>)))", D);
@@ -77,7 +79,8 @@ TEST(IncrementalTest, TwoVisitGrammarEdit) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::repmin(Diags);
   EvaluationPlan Plan = planFor(AG);
-  IncrementalEvaluator IE(Plan);
+  CompiledPlan CP(Plan);
+  IncrementalEvaluator IE(CP);
 
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Top(Fork(Leaf<5>,Fork(Leaf<7>,Leaf<9>)))", D);
@@ -101,7 +104,8 @@ TEST(IncrementalTest, MultipleEditsBeforeUpdate) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  IncrementalEvaluator IE(Plan);
+  CompiledPlan CP(Plan);
+  IncrementalEvaluator IE(CP);
 
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Calc(Add(Num<1>,Mul(Num<2>,Num<3>)))", D);
@@ -121,6 +125,7 @@ TEST(IncrementalTest, StrategiesAgree) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
 
   TreeGenerator Gen(AG, 21);
   for (unsigned Round = 0; Round != 6; ++Round) {
@@ -129,7 +134,7 @@ TEST(IncrementalTest, StrategiesAgree) {
     Tree T2(AG);
     T2.setRoot(T1.clone(T1.root()));
 
-    IncrementalEvaluator A(Plan), B(Plan);
+    IncrementalEvaluator A(CP), B(CP);
     ASSERT_TRUE(A.initial(T1, D)) << D.dump();
     ASSERT_TRUE(B.initial(T2, D)) << D.dump();
 
@@ -159,8 +164,9 @@ TEST(IncrementalTest, AgreesWithFullReevaluation) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  Evaluator Full(Plan);
-  IncrementalEvaluator IE(Plan);
+  CompiledPlan CP(Plan);
+  Evaluator Full(CP);
+  IncrementalEvaluator IE(CP);
 
   TreeGenerator Gen(AG, 5);
   Tree T = Gen.generate(300);
@@ -193,7 +199,8 @@ TEST(IncrementalTest, WorkProportionalToAffectedRegion) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  IncrementalEvaluator IE(Plan);
+  CompiledPlan CP(Plan);
+  IncrementalEvaluator IE(CP);
 
   TreeGenerator Gen(AG, 9);
   Tree T = Gen.generate(4000);
@@ -222,7 +229,8 @@ TEST(IncrementalTest, CustomEqualityWidensCutoff) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
-  IncrementalEvaluator IE(Plan);
+  CompiledPlan CP(Plan);
+  IncrementalEvaluator IE(CP);
   // Application-specific comparison: integers equal modulo 100 (e.g. only
   // the order of magnitude matters downstream).
   IE.setEquality([](const Value &A, const Value &B) {
@@ -252,7 +260,8 @@ TEST(IncrementalTest, EditOnMultiPartitionGrammar) {
   EvaluationPlan Plan;
   DiagnosticEngine D;
   ASSERT_TRUE(buildVisitSequences(AG, TR, Plan, D)) << D.dump();
-  IncrementalEvaluator IE(Plan);
+  CompiledPlan CP(Plan);
+  IncrementalEvaluator IE(CP);
 
   Tree T = readTerm(AG, "Top(CtxA(LeafX))", D);
   ASSERT_TRUE(IE.initial(T, D)) << D.dump();

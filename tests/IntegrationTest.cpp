@@ -81,7 +81,7 @@ TEST_P(SuiteAgreement, AllEvaluatorsAgreeOnSuiteGrammar) {
   ASSERT_GT(T.size(), 10u);
 
   // Reference: visit-sequence evaluator.
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   DiagnosticEngine D;
   ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
   auto Ref = snapshot(T);
@@ -92,13 +92,13 @@ TEST_P(SuiteAgreement, AllEvaluatorsAgreeOnSuiteGrammar) {
   expectSameAttribution(AG, Ref, T, "demand-driven");
 
   // Storage-optimized (mirrored into the tree for comparison).
-  StorageEvaluator SE(GE.Plan, GE.Storage);
+  StorageEvaluator SE(GE.Compiled->CP, GE.Compiled->CS);
   SE.setMirrorToTree(true);
   ASSERT_TRUE(SE.evaluate(T, D)) << D.dump();
   expectSameAttribution(AG, Ref, T, "storage-optimized");
 
   // Incremental initial run.
-  IncrementalEvaluator IE(GE.Plan);
+  IncrementalEvaluator IE(GE.Compiled->CP);
   ASSERT_TRUE(IE.initial(T, D)) << D.dump();
   expectSameAttribution(AG, Ref, T, "incremental-initial");
 
@@ -122,11 +122,11 @@ TEST(IncrementalFuzz, MiniPascalRandomEditSequences) {
     DiagnosticEngine D;
     Tree T = workloads::parseMiniPascal(AG, Src, D);
     ASSERT_FALSE(D.hasErrors()) << D.dump();
-    IncrementalEvaluator IE(GE.Plan);
+    IncrementalEvaluator IE(GE.Compiled->CP);
     ASSERT_TRUE(IE.initial(T, D)) << D.dump();
 
     TreeGenerator EditGen(AG, Seed * 7919);
-    Evaluator Full(GE.Plan);
+    Evaluator Full(GE.Compiled->CP);
     for (unsigned Edit = 0; Edit != 10; ++Edit) {
       // Walk to a random Expr node and replace it by a fresh random one.
       TreeNode *N = T.root();
@@ -226,7 +226,7 @@ TEST(StorageOnSuite, OptimizedRunsMatchReferenceRootOutputs) {
 
     TreeGenerator Gen(AG, 31);
     Tree T = Gen.generate(400);
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     DiagnosticEngine ED;
     ASSERT_TRUE(E.evaluate(T, ED)) << Ag.Name << ": " << ED.dump();
     PhylumId Root = AG.prod(T.root()->Prod).Lhs;
@@ -234,7 +234,7 @@ TEST(StorageOnSuite, OptimizedRunsMatchReferenceRootOutputs) {
     ASSERT_NE(Out, InvalidId);
     Value Ref = T.root()->attrVal(AG.attr(Out).IndexInOwner);
 
-    StorageEvaluator SE(GE.Plan, GE.Storage);
+    StorageEvaluator SE(GE.Compiled->CP, GE.Compiled->CS);
     SE.setMirrorToTree(true);
     ASSERT_TRUE(SE.evaluate(T, ED)) << Ag.Name << ": " << ED.dump();
     EXPECT_TRUE(Ref.equals(T.root()->attrVal(AG.attr(Out).IndexInOwner)))

@@ -131,7 +131,7 @@ Tree deskTerm(const AttributeGrammar &AG, const std::string &Term) {
 TEST(MergedBatchTest, CohortFormationGroupsByShapeNotLexeme) {
   DeskFixture F = deskFixture();
   ThreadPool Pool(2);
-  MergedBatchEvaluator ME(F.GE.Plan, Pool);
+  MergedBatchEvaluator ME(F.GE.Compiled->CP, Pool);
   ME.setCohortThreshold(2);
 
   // Three shapes: A x3 (same shape, different lexemes), B x2, C x1.
@@ -182,7 +182,7 @@ TEST(MergedBatchTest, CohortFormationGroupsByShapeNotLexeme) {
 TEST(MergedBatchTest, EmptySingletonAndRootlessBatches) {
   DeskFixture F = deskFixture();
   ThreadPool Pool(2);
-  MergedBatchEvaluator ME(F.GE.Plan, Pool);
+  MergedBatchEvaluator ME(F.GE.Compiled->CP, Pool);
 
   // Empty batch: no cohorts, no outcomes, zero stats.
   std::vector<Tree> Empty;
@@ -196,7 +196,7 @@ TEST(MergedBatchTest, EmptySingletonAndRootlessBatches) {
   std::vector<Tree> One;
   One.push_back(deskTerm(F.AG, "Calc(Add(Num<20>,Num<22>))"));
   Tree Ref = cloneTree(F.AG, One[0]);
-  Evaluator E(F.GE.Plan);
+  Evaluator E(F.GE.Compiled->CP);
   DiagnosticEngine D;
   ASSERT_TRUE(E.evaluate(Ref, D)) << D.dump();
 
@@ -236,7 +236,7 @@ TEST(MergedBatchTest, ThresholdFallbackAndMergedAgreeExactly) {
       Batch.push_back(cloneTree(F.AG, T));
       Batch.push_back(cloneTree(F.AG, T));
     }
-    MergedBatchEvaluator ME(F.GE.Plan, Pool);
+    MergedBatchEvaluator ME(F.GE.Compiled->CP, Pool);
     ME.setCohortThreshold(Threshold);
     BatchResult R = ME.evaluate(Batch);
     EXPECT_TRUE(R.allSucceeded());
@@ -277,7 +277,7 @@ void runMergedDifferential(const AttributeGrammar &AG,
   EvalStats SeqTotal;
   for (const Tree &T : Sources) {
     Tree R = cloneTree(AG, T);
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     provideRootInherited(AG, E);
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(R, D)) << AG.Name << ": " << D.dump();
@@ -292,7 +292,7 @@ void runMergedDifferential(const AttributeGrammar &AG,
     for (unsigned K = 0; K != 3; ++K)
       Batch.push_back(cloneTree(AG, T));
   ThreadPool Pool(4);
-  MergedBatchEvaluator ME(GE.Plan, Pool);
+  MergedBatchEvaluator ME(GE.Compiled->CP, Pool);
   ME.setCohortThreshold(1);
   ME.setShardMaxMembers(2);
   provideRootInherited(AG, ME);
@@ -364,7 +364,7 @@ TEST(MergedBatchTest, SeededTenThousandMixedShapeTreesFuzz) {
   for (unsigned I = 0; I != NumBases; ++I) {
     Bases.push_back(Gen.generate(6 + (I % 37)));
     Tree R = cloneTree(F.AG, Bases.back());
-    Evaluator E(F.GE.Plan);
+    Evaluator E(F.GE.Compiled->CP);
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(R, D)) << D.dump();
     for (unsigned K = 0; K != Clones; ++K)
@@ -379,7 +379,7 @@ TEST(MergedBatchTest, SeededTenThousandMixedShapeTreesFuzz) {
       Batch.push_back(cloneTree(F.AG, Bases[I]));
 
   ThreadPool Pool(4);
-  MergedBatchEvaluator ME(F.GE.Plan, Pool);
+  MergedBatchEvaluator ME(F.GE.Compiled->CP, Pool);
   BatchResult R = ME.evaluate(Batch);
   ASSERT_EQ(R.Outcomes.size(), Batch.size());
   ASSERT_TRUE(R.allSucceeded());
@@ -429,13 +429,13 @@ TEST(MergedBatchTest, FailingCohortMatchesSequentialDiagnostics) {
   // The sequential diagnostic to match.
   DiagnosticEngine SD;
   Tree SeqTree = readTerm(AG, "Leaf", SD);
-  Evaluator SE(GE.Plan);
+  Evaluator SE(GE.Compiled->CP);
   ASSERT_FALSE(SE.evaluate(SeqTree, SD));
   const std::string SeqMsg = SD.dump();
   EXPECT_EQ(SE.stats().VisitsPerformed, 0u);
 
   ThreadPool Pool(2);
-  MergedBatchEvaluator ME(GE.Plan, Pool);
+  MergedBatchEvaluator ME(GE.Compiled->CP, Pool);
   ME.setCohortThreshold(1);
   std::vector<Tree> Trees;
   for (unsigned I = 0; I != 8; ++I) {
@@ -509,7 +509,7 @@ TEST(MergedBatchSessionTest, UnsetRootInheritedFailsThenRecovers) {
   // cohort failure its one message.
   DiagnosticEngine SD;
   Tree SeqTree = readTerm(AG, "Leaf", SD);
-  Evaluator SE(GE.Plan);
+  Evaluator SE(GE.Compiled->CP);
   ASSERT_FALSE(SE.evaluate(SeqTree, SD));
   ASSERT_EQ(SD.diagnostics().size(), 1u);
   const std::string SeqDump = SD.dump();
@@ -519,7 +519,7 @@ TEST(MergedBatchSessionTest, UnsetRootInheritedFailsThenRecovers) {
   // that the failed round's reset is observable.
   const unsigned SSlot = AG.attr(S).IndexInOwner;
   for (Tree &T : Trees) {
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     E.setRootInherited(H, Value::ofInt(3));
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
@@ -527,7 +527,7 @@ TEST(MergedBatchSessionTest, UnsetRootInheritedFailsThenRecovers) {
   }
 
   ThreadPool Pool(2);
-  MergedBatchSession Session(GE.Plan, Pool);
+  MergedBatchSession Session(GE.Compiled->CP, Pool);
   Session.bind(Trees);
   EXPECT_EQ(Session.mergedStats().TreesMerged, 10u);
   EXPECT_EQ(Session.mergedStats().TreesFallback, 3u);
@@ -559,7 +559,7 @@ TEST(MergedBatchSessionTest, UnsetRootInheritedFailsThenRecovers) {
   EvalStats RefStats;
   for (size_t I = 0; I != Trees.size(); ++I) {
     Tree Ref = cloneTree(AG, Trees[I]);
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     E.setRootInherited(H, Value::ofInt(5));
     DiagnosticEngine D;
     ASSERT_TRUE(E.evaluate(Ref, D)) << D.dump();

@@ -77,11 +77,11 @@ struct DeskFixture {
   DiagnosticEngine GrammarDiags, GenDiags;
   AttributeGrammar AG;
   GeneratedEvaluator GE;
-  CompiledPlan CP;
+  const CompiledPlan &CP;
 
   DeskFixture()
       : AG(workloads::deskCalculator(GrammarDiags)),
-        GE(generateEvaluator(AG, GenDiags)), CP(GE.Plan) {
+        GE(generateEvaluator(AG, GenDiags)), CP(GE.Compiled->CP) {
     EXPECT_TRUE(GE.Success) << GenDiags.dump();
   }
 };
@@ -149,7 +149,7 @@ TEST(NativeEmitterTest, KeySeparatesGrammarsAndIsStable) {
   AttributeGrammar Repmin = workloads::repmin(D2);
   GeneratedEvaluator RepminGE = generateEvaluator(Repmin, G2);
   ASSERT_TRUE(RepminGE.Success);
-  CompiledPlan RepminCP(RepminGE.Plan);
+  const CompiledPlan &RepminCP = RepminGE.Compiled->CP;
   EXPECT_EQ(NativeBackend::nativeKey(F.AG, F.CP),
             NativeBackend::nativeKey(F.AG, F.CP));
   EXPECT_NE(NativeBackend::nativeKey(F.AG, F.CP),
@@ -170,7 +170,7 @@ TEST(NativeBackendTest, LoadEvaluateUnloadReloadFromCache) {
   TreeGenerator Gen(F.AG, 11);
   Tree Ref = Gen.generate(120);
   DiagnosticEngine D;
-  Evaluator Interp(F.GE.Plan);
+  Evaluator Interp(F.CP);
   provideRootInherited(F.AG, Interp);
   ASSERT_TRUE(Interp.evaluate(Ref, D)) << D.dump();
 
@@ -273,7 +273,7 @@ TEST(NativeEvaluatorTest, StatsAndDiagnosticsMatchInterpretedEngine) {
   TreeGenerator Gen(F.AG, 5);
   Tree Ref = Gen.generate(200);
   DiagnosticEngine D;
-  Evaluator Interp(F.GE.Plan);
+  Evaluator Interp(F.CP);
   provideRootInherited(F.AG, Interp);
   ASSERT_TRUE(Interp.evaluate(Ref, D)) << D.dump();
 
@@ -295,7 +295,7 @@ TEST(NativeEvaluatorTest, StatsAndDiagnosticsMatchInterpretedEngine) {
   // Diagnostics parity with the interpreted engine.
   DiagnosticEngine Empty1, Empty2;
   Tree Hollow(F.AG);
-  Evaluator I2(F.GE.Plan);
+  Evaluator I2(F.CP);
   NativeEvaluator N2(F.CP, B.Module);
   EXPECT_FALSE(I2.evaluate(Hollow, Empty1));
   EXPECT_FALSE(N2.evaluate(Hollow, Empty2));
@@ -312,7 +312,7 @@ TEST(NativeEvaluatorTest, ConcurrentSessionsShareOneModule) {
   TreeGenerator Gen(F.AG, 23);
   Tree Ref = Gen.generate(150);
   DiagnosticEngine RefD;
-  Evaluator Interp(F.GE.Plan);
+  Evaluator Interp(F.CP);
   provideRootInherited(F.AG, Interp);
   ASSERT_TRUE(Interp.evaluate(Ref, RefD)) << RefD.dump();
 

@@ -83,11 +83,11 @@ struct DeskFixture {
   DiagnosticEngine GrammarDiags, GenDiags;
   AttributeGrammar AG;
   GeneratedEvaluator GE;
-  CompiledPlan CP;
+  const CompiledPlan &CP;
 
   DeskFixture()
       : AG(workloads::deskCalculator(GrammarDiags)),
-        GE(generateEvaluator(AG, GenDiags)), CP(GE.Plan) {
+        GE(generateEvaluator(AG, GenDiags)), CP(GE.Compiled->CP) {
     EXPECT_TRUE(GE.Success) << GenDiags.dump();
   }
 };
@@ -155,7 +155,7 @@ TEST(SoaEmitterTest, FnInlinerLowersSpecGenBodies) {
   DiagnosticEngine GD;
   GeneratedEvaluator GE = generateEvaluator(AG, GD);
   ASSERT_TRUE(GE.Success) << GD.dump();
-  CompiledPlan CP(GE.Plan);
+  const CompiledPlan &CP = GE.Compiled->CP;
   PlanWalker W(CP);
   CppEmitResult Soa = emitSoaCpp(AG, W);
   EXPECT_GT(Soa.AstInlinedRules, 0u)
@@ -199,7 +199,7 @@ TEST(NativeMergedTest, WarmStartBindsBothEntryPointsWithoutCompiler) {
   ThreadPool Pool(2);
   std::vector<Tree> Batch = mixedBatch(F.AG, 2, 5, 0, 77);
   NativeCohortKernel K(F.CP, W.Module);
-  MergedBatchEvaluator NM(F.GE.Plan, F.CP, Pool);
+  MergedBatchEvaluator NM(F.CP, Pool);
   NM.setKernel(&K);
   provideRootInherited(F.AG, NM);
   BatchResult R = NM.evaluate(Batch);
@@ -233,13 +233,13 @@ TEST(NativeMergedTest, MatchesInterpretedMergedEngine) {
   for (const Tree &T : Ref)
     Got.push_back(cloneTree(F.AG, T));
 
-  MergedBatchEvaluator ME(F.GE.Plan, F.CP, Pool);
+  MergedBatchEvaluator ME(F.CP, Pool);
   provideRootInherited(F.AG, ME);
   BatchResult RRef = ME.evaluate(Ref);
   ASSERT_TRUE(RRef.allSucceeded()) << RRef.Outcomes[0].Diags.dump();
 
   NativeCohortKernel K(F.CP, B.Module);
-  MergedBatchEvaluator NM(F.GE.Plan, F.CP, Pool);
+  MergedBatchEvaluator NM(F.CP, Pool);
   NM.setKernel(&K);
   provideRootInherited(F.AG, NM);
   BatchResult RGot = NM.evaluate(Got);
@@ -290,7 +290,7 @@ std::vector<TreeNode *> lexemeNodes(Tree &T) {
 bool evaluatePerTree(const DeskFixture &F, std::vector<Tree> &Trees,
                      EvalStats &Total, int64_t RootInh = 7) {
   for (Tree &T : Trees) {
-    Evaluator E(F.GE.Plan, F.CP);
+    Evaluator E(F.CP);
     for (AttrId A : F.AG.phylum(F.AG.Start).Attrs)
       if (F.AG.attr(A).isInherited())
         E.setRootInherited(A, Value::ofInt(RootInh));
@@ -319,7 +319,7 @@ TEST(MergedBatchSessionTest, FlushedAttributionMatchesMergedEngine) {
   EvalStats A;
   ASSERT_TRUE(evaluatePerTree(F, Ref, A));
 
-  MergedBatchSession S(F.GE.Plan, F.CP, Pool);
+  MergedBatchSession S(F.CP, Pool);
   provideRootInherited(F.AG, S);
   S.bind(Got);
   SessionResult RGot = S.evaluate();
@@ -365,7 +365,7 @@ TEST(MergedBatchSessionTest, LeafAndRootInputChangesPropagateAcrossRounds) {
   for (const Tree &T : Ref)
     Got.push_back(cloneTree(F.AG, T));
 
-  MergedBatchSession S(F.GE.Plan, F.CP, Pool);
+  MergedBatchSession S(F.CP, Pool);
   provideRootInherited(F.AG, S);
   S.bind(Got);
   ASSERT_TRUE(S.evaluate().allSucceeded());
@@ -410,13 +410,13 @@ TEST(MergedBatchSessionTest, NativeKernelMatchesInterpretedSession) {
   for (const Tree &T : Ref)
     Got.push_back(cloneTree(F.AG, T));
 
-  MergedBatchSession SRef(F.GE.Plan, F.CP, Pool);
+  MergedBatchSession SRef(F.CP, Pool);
   provideRootInherited(F.AG, SRef);
   SRef.bind(Ref);
   SessionResult RRef = SRef.evaluate();
   ASSERT_TRUE(RRef.allSucceeded());
 
-  MergedBatchSession SGot(F.GE.Plan, F.CP, Pool);
+  MergedBatchSession SGot(F.CP, Pool);
   NativeCohortKernel K(F.CP, B.Module);
   SGot.setKernel(&K);
   provideRootInherited(F.AG, SGot);
@@ -463,7 +463,7 @@ TEST(NativeMergedConcurrencyTest, ConcurrentEvaluatorsShareOneSoaModule) {
       // read-only. Threshold 1 forces every tree through the SoA kernels.
       ThreadPool Pool(2);
       NativeCohortKernel K(F.CP, B.Module);
-      MergedBatchEvaluator NM(F.GE.Plan, F.CP, Pool);
+      MergedBatchEvaluator NM(F.CP, Pool);
       NM.setKernel(&K);
       NM.setCohortThreshold(1);
       provideRootInherited(F.AG, NM);

@@ -312,7 +312,7 @@ TEST(DriverTest, EndToEndCalcEvaluation) {
   ASSERT_TRUE(GE.Success) << GD.dump();
   EXPECT_EQ(GE.Classes.className(), "OAG(0)");
 
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   DiagnosticEngine TD;
   Tree T = readTerm(
       LG.AG, "Top(Let<\"x\">(Num<6>,Mul(Var<\"x\">,Add(Var<\"x\">,Num<1>))))",
@@ -385,7 +385,7 @@ end
   DiagnosticEngine GD;
   GeneratedEvaluator GE = generateEvaluator(R.Grammars[0].AG, GD);
   ASSERT_TRUE(GE.Success) << GD.dump();
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   DiagnosticEngine TD;
   Tree T = readTerm(R.Grammars[0].AG, "Leaf<7>", TD);
   ASSERT_TRUE(E.evaluate(T, TD)) << TD.dump();
@@ -414,7 +414,7 @@ end
   DiagnosticEngine GD;
   GeneratedEvaluator GE = generateEvaluator(R.Grammars[0].AG, GD);
   ASSERT_TRUE(GE.Success) << GD.dump();
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
 
   struct Case {
     int Lex;

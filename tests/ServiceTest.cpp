@@ -749,7 +749,7 @@ TEST(ServiceDaemon, SessionLifecycleWithSnapshotRestore) {
   std::string Reason;
   std::shared_ptr<GrammarEntry> E = D.registry().lookup(Key);
   ASSERT_TRUE(E != nullptr);
-  Evaluator Ev(E->Artifact->Plan, E->Artifact->CP);
+  Evaluator Ev(E->Artifact->CP);
   for (AttrId A : AG.phylum(AG.Start).Attrs)
     if (AG.attr(A).isInherited())
       Ev.setRootInherited(A, Value::ofInt(7));

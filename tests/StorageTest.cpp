@@ -158,7 +158,9 @@ TEST(LifetimeTest, RedefinitionThroughProtocolCycleDemotesToStack) {
   ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
 
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
   StorageAssignment SA = analyzeStorage(AG, Plan);
+  CompiledStorage CS(CP, SA);
   EXPECT_EQ(SA.classOfAttr(Xx), StorageClass::Stack);
   // The other attributes are never live across a visit that redefines them.
   EXPECT_EQ(SA.classOfAttr(Av), StorageClass::Variable);
@@ -168,7 +170,7 @@ TEST(LifetimeTest, RedefinitionThroughProtocolCycleDemotesToStack) {
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Top(XLeaf,AB(BC(CA(AB(BC(CX(XLeaf)))))))", D);
   ASSERT_FALSE(D.hasErrors()) << D.dump();
-  StorageEvaluator SE(Plan, SA);
+  StorageEvaluator SE(CP, CS);
   SE.setMirrorToTree(true);
   ASSERT_TRUE(SE.evaluate(T, D)) << D.dump();
   EXPECT_EQ(T.root()->attrVal(AG.attr(Out).IndexInOwner).asInt(), 1 + 7);
@@ -178,9 +180,11 @@ TEST(StorageEvaluatorTest, MatchesReferenceOnDeskCalc) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
   StorageAssignment SA = analyzeStorage(AG, Plan);
-  Evaluator Ref(Plan);
-  StorageEvaluator SE(Plan, SA);
+  CompiledStorage CS(CP, SA);
+  Evaluator Ref(CP);
+  StorageEvaluator SE(CP, CS);
 
   DiagnosticEngine D;
   Tree T = readTerm(
@@ -214,9 +218,11 @@ TEST_P(StorageAgreementTest, MirroredStorageRunMatchesReference) {
                                           : workloads::oag1Grammar(Diags);
   ASSERT_FALSE(Diags.hasErrors());
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
   StorageAssignment SA = analyzeStorage(AG, Plan);
-  Evaluator Ref(Plan);
-  StorageEvaluator SE(Plan, SA);
+  CompiledStorage CS(CP, SA);
+  Evaluator Ref(CP);
+  StorageEvaluator SE(CP, CS);
   SE.setMirrorToTree(true);
 
   TreeGenerator Gen(AG, Seed);
@@ -254,8 +260,10 @@ TEST(StorageEvaluatorTest, PeakCellsWellBelowTreeBaseline) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
   StorageAssignment SA = analyzeStorage(AG, Plan);
-  StorageEvaluator SE(Plan, SA);
+  CompiledStorage CS(CP, SA);
+  StorageEvaluator SE(CP, CS);
   TreeGenerator Gen(AG, 11);
   Tree T = Gen.generate(2000);
   DiagnosticEngine D;
@@ -271,8 +279,10 @@ TEST(StorageEvaluatorTest, StacksDrainCompletely) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::binaryNumbers(Diags);
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
   StorageAssignment SA = analyzeStorage(AG, Plan);
-  StorageEvaluator SE(Plan, SA);
+  CompiledStorage CS(CP, SA);
+  StorageEvaluator SE(CP, CS);
   TreeGenerator Gen(AG, 4);
   Tree T = Gen.generate(300);
   DiagnosticEngine D;
@@ -289,14 +299,16 @@ TEST(StorageEvaluatorTest, RuleCountMatchesExhaustiveAndExports) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
   StorageAssignment SA = analyzeStorage(AG, Plan);
+  CompiledStorage CS(CP, SA);
   TreeGenerator Gen(AG, 31);
   Tree T = Gen.generate(250);
   Tree T2(AG);
   T2.setRoot(T.clone(T.root()));
 
-  Evaluator Ref(Plan);
-  StorageEvaluator SE(Plan, SA);
+  Evaluator Ref(CP);
+  StorageEvaluator SE(CP, CS);
   DiagnosticEngine D;
   ASSERT_TRUE(Ref.evaluate(T, D)) << D.dump();
   ASSERT_TRUE(SE.evaluate(T2, D)) << D.dump();
@@ -317,8 +329,10 @@ TEST(StorageEvaluatorTest, BaselineAccumulatesAcrossRunsAndMergeKinds) {
   DiagnosticEngine Diags;
   AttributeGrammar AG = workloads::deskCalculator(Diags);
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
   StorageAssignment SA = analyzeStorage(AG, Plan);
-  StorageEvaluator SE(Plan, SA);
+  CompiledStorage CS(CP, SA);
+  StorageEvaluator SE(CP, CS);
   TreeGenerator Gen(AG, 12);
   Tree T = Gen.generate(150);
   DiagnosticEngine D;
@@ -364,8 +378,10 @@ TEST(StorageIdMapTest, LocalsGetDistinctIds) {
 
   // And the machinery evaluates locals correctly end to end.
   EvaluationPlan Plan = planFor(AG);
+  CompiledPlan CP(Plan);
   StorageAssignment SA = analyzeStorage(AG, Plan);
-  StorageEvaluator SE(Plan, SA);
+  CompiledStorage CS(CP, SA);
+  StorageEvaluator SE(CP, CS);
   SE.setMirrorToTree(true);
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Leaf", D);
@@ -431,7 +447,7 @@ uint64_t storageDigest(const GeneratedEvaluator &GE) {
                      SA.TotalCopyRules, SA.EliminatedCopyRules,
                      SA.EliminableCopyRules})
     W.u32(N);
-  W.u64(planFingerprint(CompiledPlan(GE.Plan)));
+  W.u64(planFingerprint(GE.Compiled->CP));
   return serialize::fnv1a64(W.bytes());
 }
 

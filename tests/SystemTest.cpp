@@ -102,7 +102,7 @@ TEST_F(MiniPascalTest, CompilesStraightLineProgram) {
       AG, "var x: int; begin x := 1 + 2 * 3; write x; end", D);
   ASSERT_FALSE(D.hasErrors()) << D.dump();
   ASSERT_NE(T.root(), nullptr);
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
   workloads::PCodeResult R = workloads::pcodeFromTree(AG, T);
   EXPECT_EQ(R.Errors, 0);
@@ -122,7 +122,7 @@ TEST_F(MiniPascalTest, LabelsThreadThroughControlFlow) {
                                       "end",
                                       D);
   ASSERT_FALSE(D.hasErrors()) << D.dump();
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
   workloads::PCodeResult R = workloads::pcodeFromTree(AG, T);
   EXPECT_EQ(R.Errors, 0);
@@ -148,7 +148,7 @@ TEST_F(MiniPascalTest, CountsStaticErrors) {
       {"var x: int; begin if x then begin end; end", 1}, // non-bool cond
       {"var x: int; begin while x + true < 2 do begin end; end", 3},
   };
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   for (const auto &C : Cases) {
     DiagnosticEngine D;
     Tree T = workloads::parseMiniPascal(AG, C.Src, D);
@@ -168,7 +168,7 @@ TEST_P(MiniPascalAgreement, GeneratedMatchesHandWritten) {
   DiagnosticEngine GD;
   GeneratedEvaluator GE = generateEvaluator(AG, GD);
   ASSERT_TRUE(GE.Success) << GD.dump();
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
 
   std::string Src = workloads::generateMiniPascalSource(20 + Seed * 7, Seed);
   DiagnosticEngine D;
@@ -216,7 +216,7 @@ TEST(SpecGenTest, GeneratedSpecsCompileAndEvaluate) {
   ASSERT_TRUE(GE.Success) << GD.dump();
   EXPECT_EQ(GE.Classes.className(), "OAG(0)");
 
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   TreeGenerator Gen(LG.AG, 3);
   Tree T = Gen.generate(200);
   DiagnosticEngine TD;

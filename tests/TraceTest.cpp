@@ -218,7 +218,7 @@ TEST(TraceGolden, DeskCalculatorPipeline) {
   ASSERT_TRUE(GE.Success) << GD.dump();
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Calc(Add(Num<1>,Mul(Num<2>,Num<3>)))", D);
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
   C.uninstall();
 
@@ -237,7 +237,7 @@ TEST(TraceGolden, DeskStorageEvaluation) {
   DiagnosticEngine GD;
   GeneratedEvaluator GE = generateEvaluator(AG, GD);
   ASSERT_TRUE(GE.Success) << GD.dump();
-  StorageEvaluator SE(GE.Plan, GE.Storage);
+  StorageEvaluator SE(GE.Compiled->CP, GE.Compiled->CS);
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Calc(Add(Num<1>,Mul(Num<2>,Num<3>)))", D);
 
@@ -260,7 +260,7 @@ TEST(TraceGolden, RepminIncrementalUpdate) {
   GeneratedEvaluator GE = generateEvaluator(AG, GD);
   ASSERT_TRUE(GE.Success) << GD.dump();
 
-  IncrementalEvaluator IE(GE.Plan);
+  IncrementalEvaluator IE(GE.Compiled->CP);
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Top(Fork(Leaf<5>,Fork(Leaf<7>,Leaf<9>)))", D);
 
@@ -353,7 +353,7 @@ TEST(TraceTest, ChromeJsonIsWellFormed) {
   DiagnosticEngine D;
   Tree T = readTerm(
       AG, "Integer(Pair(Pair(Pair(Single(One),One),Zero),One))", D);
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
   C.uninstall();
 
@@ -384,7 +384,7 @@ TEST(TraceTest, CountersFoldMatchesEvaluatorStats) {
   C.install();
   DiagnosticEngine D;
   Tree T = readTerm(AG, "Calc(Add(Num<1>,Num<2>))", D);
-  Evaluator E(GE.Plan);
+  Evaluator E(GE.Compiled->CP);
   ASSERT_TRUE(E.evaluate(T, D)) << D.dump();
   C.uninstall();
 
@@ -417,7 +417,7 @@ TEST(TraceTest, BatchTracingIsRaceFree) {
   ThreadPool Pool(4);
   trace::TraceCollector C;
   C.install();
-  BatchEvaluator BE(GE.Plan, Pool);
+  BatchEvaluator BE(GE.Compiled->CP, Pool);
   BatchResult R = BE.evaluate(Trees);
   C.uninstall();
   ASSERT_TRUE(R.allSucceeded());

@@ -193,7 +193,7 @@ protected:
   Tree evaluated(const char *Term) {
     DiagnosticEngine D;
     Tree T = readTerm(AG, Term, D);
-    Evaluator E(GE.Plan);
+    Evaluator E(GE.Compiled->CP);
     EXPECT_TRUE(E.evaluate(T, D)) << D.dump();
     return T;
   }

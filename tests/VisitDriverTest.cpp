@@ -186,7 +186,7 @@ TEST(DeepChain, TreeWalks) {
 EvalStats evalChain(unsigned Depth, int64_t &Res) {
   const ChainFixture &F = chainFixture();
   Tree T = F.chain(Depth);
-  Evaluator E(F.GE.Plan);
+  Evaluator E(F.GE.Compiled->CP);
   DiagnosticEngine D;
   EXPECT_TRUE(E.evaluate(T, D)) << D.dump();
   Res = rootRes(T);
@@ -207,7 +207,7 @@ TEST(DeepChain, PerTreeEvaluator) {
 StorageStats storageChain(unsigned Depth, int64_t &Res) {
   const ChainFixture &F = chainFixture();
   Tree T = F.chain(Depth);
-  StorageEvaluator SE(F.GE.Plan, F.GE.Storage);
+  StorageEvaluator SE(F.GE.Compiled->CP, F.GE.Compiled->CS);
   // The optimizer may keep R.res out of the tree; mirroring every write
   // into the frames makes the root value readable.
   SE.setMirrorToTree(true);
@@ -234,7 +234,7 @@ IncrementalStats incrementalChain(unsigned Depth, UpdateStrategy Strategy,
                                   int64_t &InitialRes, int64_t &Res) {
   const ChainFixture &F = chainFixture();
   Tree T = F.chain(Depth);
-  IncrementalEvaluator IE(F.GE.Plan);
+  IncrementalEvaluator IE(F.GE.Compiled->CP);
   DiagnosticEngine D;
   EXPECT_TRUE(IE.initial(T, D)) << D.dump();
   InitialRes = rootRes(T);
@@ -275,7 +275,7 @@ EvalStats mergedChain(unsigned Depth, int64_t &LaneRes, int64_t &Res) {
   std::vector<Tree> Trees;
   Trees.push_back(F.chain(Depth));
   ThreadPool Pool(1);
-  MergedBatchSession S(F.GE.Plan, Pool);
+  MergedBatchSession S(F.GE.Compiled->CP, Pool);
   S.setCohortThreshold(1);
   S.bind(Trees);
   const SessionResult R = S.evaluate();
@@ -337,7 +337,7 @@ struct MissingSeqFixture {
 void expectOneMessage(const MissingSeqFixture &F) {
   {
     Tree T = F.tree();
-    Evaluator E(F.GE.Plan, F.CP);
+    Evaluator E(F.CP);
     DiagnosticEngine D;
     EXPECT_FALSE(E.evaluate(T, D));
     EXPECT_EQ(D.dump(), F.Expected) << "per-tree";
@@ -345,7 +345,7 @@ void expectOneMessage(const MissingSeqFixture &F) {
   {
     Tree T = F.tree();
     CompiledStorage CS(F.CP, F.GE.Storage);
-    StorageEvaluator SE(F.GE.Plan, F.GE.Storage, F.CP, CS);
+    StorageEvaluator SE(F.CP, CS);
     DiagnosticEngine D;
     EXPECT_FALSE(SE.evaluate(T, D));
     EXPECT_EQ(D.dump(), F.Expected) << "storage";
@@ -355,7 +355,7 @@ void expectOneMessage(const MissingSeqFixture &F) {
     // root's son then sends the update from the root through the
     // incremental engine's own walk down to the same failure.
     Tree T = F.tree();
-    IncrementalEvaluator IE(F.GE.Plan, F.CP);
+    IncrementalEvaluator IE(F.CP);
     DiagnosticEngine D1, D2;
     EXPECT_FALSE(IE.initial(T, D1));
     EXPECT_EQ(D1.dump(), F.Expected) << "incremental initial";
@@ -368,7 +368,7 @@ void expectOneMessage(const MissingSeqFixture &F) {
     std::vector<Tree> Trees;
     Trees.push_back(F.tree());
     ThreadPool Pool(1);
-    MergedBatchSession S(F.GE.Plan, F.CP, Pool);
+    MergedBatchSession S(F.CP, Pool);
     S.setCohortThreshold(1);
     S.bind(Trees);
     const SessionResult R = S.evaluate();
@@ -398,7 +398,7 @@ void expectOneMessage(const MissingSeqFixture &F) {
     std::vector<Tree> Trees;
     Trees.push_back(F.tree());
     ThreadPool Pool(1);
-    MergedBatchSession S(F.GE.Plan, F.CP, Pool);
+    MergedBatchSession S(F.CP, Pool);
     NativeCohortKernel K(F.CP, B.Module);
     S.setKernel(&K);
     S.setCohortThreshold(1);
@@ -414,5 +414,24 @@ void expectOneMessage(const MissingSeqFixture &F) {
 TEST(MissingSequence, AtTheRoot) { expectOneMessage(MissingSeqFixture("Calc")); }
 
 TEST(MissingSequence, AtAVisit) { expectOneMessage(MissingSeqFixture("Num")); }
+
+// A failed initial() leaves a partial attribution, which the incremental
+// cutoffs would take for a settled one: the root's son already has a frame
+// and nothing below it is dirty. An update() with no edits must instead
+// rerun the whole pass and fail again with the same diagnostic, each time.
+TEST(MissingSequence, UpdateAfterAFailedInitialFailsAgain) {
+  const MissingSeqFixture F("Num");
+  Tree T = F.tree();
+  IncrementalEvaluator IE(F.CP);
+  DiagnosticEngine D0;
+  EXPECT_FALSE(IE.initial(T, D0));
+  EXPECT_EQ(D0.dump(), F.Expected) << "initial";
+  for (UpdateStrategy S :
+       {UpdateStrategy::FromRoot, UpdateStrategy::StartAnywhere}) {
+    DiagnosticEngine D;
+    EXPECT_FALSE(IE.update(T, D, S));
+    EXPECT_EQ(D.dump(), F.Expected) << "update";
+  }
+}
 
 } // namespace
