@@ -239,7 +239,7 @@ Response Daemon::doEvaluate(const Request &R) {
 
   // Per-request evaluator borrowing the shared immutable bundle: cheap to
   // construct, and any number may run concurrently.
-  Evaluator Ev(E->Artifact->CP);
+  Evaluator Ev(E->Gen.Compiled->CP);
   for (auto &[A, V] : Inh)
     Ev.setRootInherited(A, V);
   DiagnosticEngine Diags;
@@ -286,7 +286,7 @@ Response Daemon::doBatch(const Request &R) {
     // The merged SoA engine on the shared pool. Pool batches must not be
     // issued concurrently (ThreadPool contract), so batch requests take
     // their turn here while per-tree requests keep flowing elsewhere.
-    MergedBatchEvaluator ME(E->Artifact->CP, Pool);
+    MergedBatchEvaluator ME(E->Gen.Compiled->CP, Pool);
     for (auto &[A, V] : Inh)
       ME.setRootInherited(A, V);
     BatchResult BR = [&] {
@@ -303,7 +303,7 @@ Response Daemon::doBatch(const Request &R) {
       rootSynthAttrs(AG, Trees[I].root(), Ignore, Out.Digests[Slot[I]]);
     }
   } else {
-    Evaluator Ev(E->Artifact->CP);
+    Evaluator Ev(E->Gen.Compiled->CP);
     for (auto &[A, V] : Inh)
       Ev.setRootInherited(A, V);
     for (size_t I = 0; I != Trees.size(); ++I) {
@@ -338,7 +338,7 @@ Response Daemon::doOpen(const Request &R) {
 
   auto S = std::make_shared<ServiceSession>();
   S->Entry = E;
-  S->Inc = std::make_unique<IncrementalSession>(AG, E->Artifact);
+  S->Inc = std::make_unique<IncrementalSession>(AG, E->Gen.Compiled);
   for (auto &[A, V] : Inh)
     S->Inc->setRootInherited(A, V);
   DiagnosticEngine Diags;

@@ -165,7 +165,6 @@ GrammarRegistry::registerSource(const std::string &Source, unsigned OagK,
       Reason = Why;
       return nullptr;
     }
-    Pending->Artifact = Pending->Gen.Compiled;
   }
 
   {

@@ -57,10 +57,9 @@ struct GrammarEntry {
   std::unique_ptr<AttributeGrammar> OwnedAG;
   const AttributeGrammar *AG = nullptr;
 
-  GeneratedEvaluator Gen;
-  /// The one immutable compiled bundle all of this grammar's sessions and
+  /// Its Compiled bundle is the one all of this grammar's sessions and
   /// evaluators borrow concurrently.
-  std::shared_ptr<const CompiledArtifact> Artifact;
+  GeneratedEvaluator Gen;
 
   /// Readiness latch: inserted entries start pending; the registering
   /// thread generates, then publishes Ready (or Error) and notifies.
