@@ -18,17 +18,31 @@ std::span<const CounterField<IncrementalStats>> IncrementalStats::schema() {
   return Fields;
 }
 
-bool IncrementalEvaluator::initial(Tree &T, DiagnosticEngine &Diags) {
-  FNC2_SPAN("inc.initial");
+void IncrementalEvaluator::clearEdits() {
   Dirty.clear();
   EditSites.clear();
   LexemeChanged.clear();
+}
+
+void IncrementalEvaluator::clearMemo() {
   Changed.clear();
   WriteClock = 0;
   LastWrite.clear();
   RevisitStamp.clear();
+}
+
+bool IncrementalEvaluator::initial(Tree &T, DiagnosticEngine &Diags) {
+  FNC2_SPAN("inc.initial");
+  clearEdits();
+  clearMemo();
   Failed = !Exhaustive.evaluate(T, Diags);
   return !Failed;
+}
+
+void IncrementalEvaluator::resume() {
+  Failed = false;
+  clearEdits();
+  clearMemo();
 }
 
 std::unique_ptr<TreeNode>
@@ -237,10 +251,7 @@ bool IncrementalEvaluator::update(Tree &T, DiagnosticEngine &Diags,
     return initial(T, Diags);
   FNC2_SPAN("inc.update");
   const AttributeGrammar &AG = CP.grammar();
-  Changed.clear();
-  WriteClock = 0;
-  LastWrite.clear();
-  RevisitStamp.clear();
+  clearMemo();
   bool Ok = true;
   // Re-runs every visit of a node under its current partition, with the
   // cutoffs.
@@ -277,10 +288,7 @@ bool IncrementalEvaluator::update(Tree &T, DiagnosticEngine &Diags,
   }
 
   Failed = !Ok;
-  if (Ok) {
-    Dirty.clear();
-    EditSites.clear();
-    LexemeChanged.clear();
-  }
+  if (Ok)
+    clearEdits();
   return Ok;
 }

@@ -116,6 +116,17 @@ public:
   bool update(Tree &T, DiagnosticEngine &Diags,
               UpdateStrategy Strategy = UpdateStrategy::StartAnywhere);
 
+  /// True when no edit awaits an update(): the only state a session may
+  /// save, since the pending-edit sets hold raw node pointers.
+  bool quiescent() const {
+    return EditSites.empty() && Dirty.empty() && LexemeChanged.empty();
+  }
+
+  /// Takes the tree's current attribution as complete and settled, as a
+  /// restored session's is: forgets pending edits, a past failure and the
+  /// last pass's memo.
+  void resume();
+
   const IncrementalStats &stats() const { return Stats; }
   void resetStats() { Stats.reset(); }
 
@@ -123,6 +134,10 @@ private:
   /// The visit-driver policy (eval/VisitDriver.h).
   struct Walk;
 
+  void clearEdits();
+  /// Resets the per-update state (Changed and the revisit memo): every pass
+  /// derives it from empty.
+  void clearMemo();
   bool execEvalIncremental(TreeNode *N, uint32_t FirstRule, uint32_t NumRules,
                            DiagnosticEngine &Diags);
   bool isChanged(const TreeNode *Site, unsigned Slot) const;
@@ -137,10 +152,6 @@ private:
   bool valueEqual(const Value &A, const Value &B) const {
     return Equal ? Equal(A, B) : A.equals(B);
   }
-
-  /// Session persistence serializes the stamp maps below through a
-  /// canonical preorder encoding (incremental/Session.cpp).
-  friend class IncrementalSession;
 
   /// Borrowed by the embedded exhaustive evaluator too, so initial() and
   /// update() maintain the same per-node sequence caches.
@@ -164,10 +175,11 @@ private:
   /// locals are tracked after the attributes.
   std::unordered_map<const TreeNode *, std::vector<uint8_t>> Changed;
 
-  /// Per-update revisit memo. The start-anywhere climb re-runs the full
-  /// visit protocol at every ancestor; without a memo each level would
-  /// re-descend into the (still dirty-marked, still changed-marked) edit
-  /// region and redo its rules, making the climb cost O(affected x depth).
+  /// Per-update revisit memo, rebuilt from empty by every update() and
+  /// never persisted. The start-anywhere climb re-runs the full visit
+  /// protocol at every ancestor; without a memo each level would re-descend
+  /// into the (still dirty-marked, still changed-marked) edit region and
+  /// redo its rules, making the climb cost O(affected x depth).
   /// WriteClock ticks on every attribute write; LastWrite records the tick
   /// that last wrote into a node; RevisitStamp records, per (node, visit),
   /// the clock at completion (+1, so 0 means "never ran this update"). A

@@ -4,7 +4,6 @@
 
 #include "serialize/ArtifactFile.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -20,25 +19,8 @@ namespace {
 constexpr uint32_t SecSessMeta = 1;
 constexpr uint32_t SecSessTree = 2;
 constexpr uint32_t SecSessFrames = 3;
-constexpr uint32_t SecSessStamps = 4;
+// Id 4 was version 1's section of revisit-memo stamps; it stays retired.
 constexpr uint32_t SecSessLog = 5;
-
-/// Preorder node enumeration — the canonical node numbering every section
-/// below indexes by. Iterative (sessions reach 100k nodes).
-std::vector<TreeNode *> preorderNodes(TreeNode *Root) {
-  std::vector<TreeNode *> Out;
-  if (!Root)
-    return Out;
-  std::vector<TreeNode *> Stack = {Root};
-  while (!Stack.empty()) {
-    TreeNode *N = Stack.back();
-    Stack.pop_back();
-    Out.push_back(N);
-    for (unsigned I = N->arity(); I != 0; --I)
-      Stack.push_back(N->child(I - 1));
-  }
-  return Out;
-}
 
 unsigned bitmapWords(unsigned NumSlots) { return (NumSlots + 63) / 64; }
 
@@ -93,11 +75,11 @@ bool IncrementalSession::replay(const EditLog &L, DiagnosticEngine &Diags) {
 void IncrementalSession::encodeTreeAndFrames(ByteWriter &TreeW,
                                              ByteWriter &FrameW) const {
   encodeSubtree(TreeW, *AG, T.root());
-  for (const TreeNode *N : preorderNodes(T.root())) {
+  forEachPreorder(T.root(), [&FrameW](const TreeNode *N) {
     FrameW.u32(N->PartitionId);
     FrameW.boolean(N->hasFrame());
     if (!N->hasFrame())
-      continue;
+      return;
     FrameW.u16(N->FrameAttrs);
     FrameW.u16(N->FrameLocals);
     const unsigned Slots = N->numSlots();
@@ -105,57 +87,7 @@ void IncrementalSession::encodeTreeAndFrames(ByteWriter &TreeW,
       FrameW.u64(N->ComputedBits[W]);
     for (unsigned S = 0; S != Slots; ++S)
       encodeValue(FrameW, N->Slots[S]);
-  }
-}
-
-void IncrementalSession::encodeStamps(ByteWriter &W) const {
-  // Canonical form: every map keyed ascending by preorder index, so one
-  // session state has exactly one encoding (unordered_map iteration order
-  // never leaks into the bytes — the bit-identity guarantee depends on it).
-  std::unordered_map<const TreeNode *, uint32_t> Index;
-  {
-    uint32_t I = 0;
-    for (const TreeNode *N : preorderNodes(T.root()))
-      Index[N] = I++;
-  }
-  W.u64(IE.WriteClock);
-
-  std::vector<std::pair<uint32_t, uint64_t>> LW;
-  for (const auto &[Node, Clock] : IE.LastWrite)
-    if (auto It = Index.find(Node); It != Index.end())
-      LW.emplace_back(It->second, Clock);
-  std::sort(LW.begin(), LW.end());
-  W.u32(static_cast<uint32_t>(LW.size()));
-  for (const auto &[I, Clock] : LW) {
-    W.u32(I);
-    W.u64(Clock);
-  }
-
-  std::vector<std::pair<uint32_t, const std::vector<uint64_t> *>> RS;
-  for (const auto &[Node, Stamps] : IE.RevisitStamp)
-    if (auto It = Index.find(Node); It != Index.end())
-      RS.emplace_back(It->second, &Stamps);
-  std::sort(RS.begin(), RS.end());
-  W.u32(static_cast<uint32_t>(RS.size()));
-  for (const auto &[I, Stamps] : RS) {
-    W.u32(I);
-    W.u32(static_cast<uint32_t>(Stamps->size()));
-    for (uint64_t S : *Stamps)
-      W.u64(S);
-  }
-
-  std::vector<std::pair<uint32_t, const std::vector<uint8_t> *>> CH;
-  for (const auto &[Node, Marks] : IE.Changed)
-    if (auto It = Index.find(Node); It != Index.end())
-      CH.emplace_back(It->second, &Marks);
-  std::sort(CH.begin(), CH.end());
-  W.u32(static_cast<uint32_t>(CH.size()));
-  for (const auto &[I, Marks] : CH) {
-    W.u32(I);
-    W.u32(static_cast<uint32_t>(Marks->size()));
-    for (uint8_t M : *Marks)
-      W.u8(M);
-  }
+  });
 }
 
 uint64_t IncrementalSession::attributionDigest() const {
@@ -176,12 +108,12 @@ bool IncrementalSession::encode(std::vector<uint8_t> &Out,
     WhyNot = "session never started";
     return false;
   }
-  if (!IE.EditSites.empty() || !IE.Dirty.empty() || !IE.LexemeChanged.empty()) {
+  if (!IE.quiescent()) {
     WhyNot = "edits pending an update(); a session persists only quiescent";
     return false;
   }
 
-  serialize::ArtifactWriter W(fileKey(*AG));
+  serialize::ArtifactWriter W(fileKey(*AG), kSessionVersion);
   ByteWriter &M = W.section(SecSessMeta);
   M.str(AG->Name);
   M.u8(static_cast<uint8_t>(Strategy));
@@ -200,7 +132,6 @@ bool IncrementalSession::encode(std::vector<uint8_t> &Out,
   encodeTreeAndFrames(TreeW, FrameW);
   W.section(SecSessTree).raw(TreeW.bytes().data(), TreeW.bytes().size());
   W.section(SecSessFrames).raw(FrameW.bytes().data(), FrameW.bytes().size());
-  encodeStamps(W.section(SecSessStamps));
   Log.encode(W.section(SecSessLog));
   Out = W.finish();
   return true;
@@ -213,10 +144,11 @@ bool IncrementalSession::encode(std::vector<uint8_t> &Out,
 bool IncrementalSession::restore(std::span<const uint8_t> Bytes,
                                  std::string &Reason) {
   serialize::ArtifactReader File;
-  if (!File.open(Bytes, fileKey(*AG), Reason))
+  if (!File.open(Bytes, fileKey(*AG), Reason, kSessionVersion)) {
+    Reason = "session container: " + Reason;
     return false;
-  for (uint32_t Sec :
-       {SecSessMeta, SecSessTree, SecSessFrames, SecSessStamps, SecSessLog})
+  }
+  for (uint32_t Sec : {SecSessMeta, SecSessTree, SecSessFrames, SecSessLog})
     if (!File.hasSection(Sec)) {
       Reason = "session: missing section " + std::to_string(Sec);
       return false;
@@ -273,8 +205,7 @@ bool IncrementalSession::restore(std::span<const uint8_t> Bytes,
     }
     Scratch.setRoot(std::move(Root));
   }
-  std::vector<TreeNode *> Nodes = preorderNodes(Scratch.root());
-  if (Nodes.size() != NodeCount) {
+  if (Scratch.size() != NodeCount) {
     Reason = "session tree: node count disagrees with meta";
     return false;
   }
@@ -282,23 +213,25 @@ bool IncrementalSession::restore(std::span<const uint8_t> Bytes,
   // --- frames -------------------------------------------------------------
   ByteReader FrameR = File.section(SecSessFrames);
   const CompiledPlan &CP = Bundle->CP;
-  for (TreeNode *N : Nodes) {
+  // The walk cannot stop early: once the reader fails, every further
+  // node is passed over.
+  forEachPreorder(Scratch.root(), [&](TreeNode *N) {
+    if (!FrameR.ok())
+      return;
     N->PartitionId = FrameR.u32();
     bool HasFrame = FrameR.boolean();
-    if (!FrameR.ok())
-      break;
-    if (!HasFrame)
-      continue;
+    if (!FrameR.ok() || !HasFrame)
+      return;
     const FrameShape &Shape = CP.frameOf(N->Prod);
     uint16_t NumAttrs = FrameR.u16();
     uint16_t NumLocals = FrameR.u16();
     if (!FrameR.ok())
-      break;
+      return;
     if (NumAttrs != Shape.NumAttrs || NumLocals != Shape.NumLocals ||
         (NumAttrs | NumLocals) == 0) {
       FrameR.fail("frame shape disagrees with the plan at '" +
                   AG->prod(N->Prod).Name + "'");
-      break;
+      return;
     }
     CP.ensureFrame(N);
     const unsigned Slots = N->numSlots();
@@ -306,82 +239,9 @@ bool IncrementalSession::restore(std::span<const uint8_t> Bytes,
       N->ComputedBits[W] = FrameR.u64();
     for (unsigned S = 0; S != Slots && FrameR.ok(); ++S)
       N->Slots[S] = decodeValue(FrameR);
-    if (!FrameR.ok())
-      break;
-  }
+  });
   if (!FrameR.ok() || FrameR.remaining() != 0)
     return Rej(FrameR, "frames", "trailing bytes");
-
-  // --- stamps -------------------------------------------------------------
-  ByteReader StampR = File.section(SecSessStamps);
-  uint64_t NewClock = StampR.u64();
-  std::unordered_map<const TreeNode *, uint64_t> NewLastWrite;
-  std::unordered_map<const TreeNode *, std::vector<uint64_t>> NewRevisit;
-  std::unordered_map<const TreeNode *, std::vector<uint8_t>> NewChanged;
-  {
-    uint32_t N = StampR.count(12);
-    int64_t Prev = -1;
-    for (uint32_t I = 0; I != N && StampR.ok(); ++I) {
-      uint32_t Idx = StampR.u32();
-      uint64_t Clock = StampR.u64();
-      if (!StampR.ok())
-        break;
-      if (Idx >= Nodes.size() || int64_t(Idx) <= Prev) {
-        StampR.fail("last-write entry out of order or out of range");
-        break;
-      }
-      Prev = Idx;
-      NewLastWrite[Nodes[Idx]] = Clock;
-    }
-  }
-  {
-    uint32_t N = StampR.count(8);
-    int64_t Prev = -1;
-    for (uint32_t I = 0; I != N && StampR.ok(); ++I) {
-      uint32_t Idx = StampR.u32();
-      uint32_t Len = StampR.count(8);
-      if (!StampR.ok())
-        break;
-      if (Idx >= Nodes.size() || int64_t(Idx) <= Prev || Len > 64) {
-        StampR.fail("revisit-stamp entry out of order or out of range");
-        break;
-      }
-      Prev = Idx;
-      std::vector<uint64_t> Stamps(Len);
-      for (uint32_t S = 0; S != Len; ++S)
-        Stamps[S] = StampR.u64();
-      NewRevisit[Nodes[Idx]] = std::move(Stamps);
-    }
-  }
-  {
-    uint32_t N = StampR.count(8);
-    int64_t Prev = -1;
-    for (uint32_t I = 0; I != N && StampR.ok(); ++I) {
-      uint32_t Idx = StampR.u32();
-      uint32_t Len = StampR.count(1);
-      if (!StampR.ok())
-        break;
-      if (Idx >= Nodes.size() || int64_t(Idx) <= Prev) {
-        StampR.fail("changed-marks entry out of order or out of range");
-        break;
-      }
-      const FrameShape &Shape = CP.frameOf(Nodes[Idx]->Prod);
-      if (Len != unsigned(Shape.NumAttrs) + Shape.NumLocals) {
-        StampR.fail("changed-marks length disagrees with the frame shape");
-        break;
-      }
-      Prev = Idx;
-      std::vector<uint8_t> Marks(Len);
-      for (uint32_t S = 0; S != Len && StampR.ok(); ++S) {
-        Marks[S] = StampR.u8();
-        if (Marks[S] > 1)
-          StampR.fail("changed mark byte out of range");
-      }
-      NewChanged[Nodes[Idx]] = std::move(Marks);
-    }
-  }
-  if (!StampR.ok() || StampR.remaining() != 0)
-    return Rej(StampR, "stamps", "trailing bytes");
 
   // --- log ----------------------------------------------------------------
   ByteReader LogR = File.section(SecSessLog);
@@ -396,14 +256,7 @@ bool IncrementalSession::restore(std::span<const uint8_t> Bytes,
   RootInh = std::move(NewRootInh);
   for (const auto &[A, V] : RootInh)
     IE.setRootInherited(A, V);
-  IE.Failed = false;
-  IE.Dirty.clear();
-  IE.EditSites.clear();
-  IE.LexemeChanged.clear();
-  IE.WriteClock = NewClock;
-  IE.LastWrite = std::move(NewLastWrite);
-  IE.RevisitStamp = std::move(NewRevisit);
-  IE.Changed = std::move(NewChanged);
+  IE.resume();
   Started = true;
   return true;
 }
