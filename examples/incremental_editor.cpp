@@ -17,10 +17,10 @@
 //   ./incremental_editor --resume-session doc.sess --edits 5
 //   ./incremental_editor --resume-session doc.sess --replay session.log
 //
-// A resumed session is bit-identical to the live one it was saved from —
-// including the incremental evaluator's revisit stamps — so replaying the
-// remainder of a recorded log after a resume produces exactly the bytes
-// the uninterrupted session would have. --replay skips the prefix the
+// A resumed session is bit-identical to the live one it was saved from, and
+// each update rebuilds the incremental evaluator's revisit memo from
+// scratch, so replaying the remainder of a recorded log after a resume
+// produces exactly the bytes the uninterrupted session would have. --replay skips the prefix the
 // session has already applied, which is what makes that composition work.
 //
 //===----------------------------------------------------------------------===//
@@ -98,8 +98,7 @@ int usage(const char *Argv0) {
       "edits\n"
       "                       (skips any prefix the session already "
       "applied)\n"
-      "  --save-session FILE  persist tree + attribution + stamps + log to "
-      "FILE\n"
+      "  --save-session FILE  persist tree + attribution + log to FILE\n"
       "  --resume-session FILE  restore a persisted session instead of\n"
       "                         generating a fresh document\n",
       Argv0);
