@@ -144,7 +144,7 @@ std::vector<Token> olga::tokenize(std::string_view Source,
         Diags.error("unterminated string literal", Loc);
       // Without escapes the contents are a slice of the source.
       emit(TokKind::StringLit, Loc,
-           Escaped ? std::string_view(*internString(std::move(S)))
+           Escaped ? std::string_view(*internString(S))
                    : Source.substr(Begin, S.size()));
       continue;
     }

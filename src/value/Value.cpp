@@ -8,7 +8,6 @@
 #include <mutex>
 #include <set>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace fnc2;
@@ -19,14 +18,23 @@ using namespace fnc2;
 
 namespace {
 
+/// Heterogeneous lookup, so a probe key is hashed and compared as a view
+/// without building a std::string.
+struct InternHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view S) const {
+    return std::hash<std::string_view>()(S);
+  }
+};
+
 /// One lock + table per shard; sharding keeps the batch engines' worker
-/// threads from serializing on a single pool mutex. The string_view keys
-/// point into the shared_ptr-owned strings, which are never erased, so the
-/// views stay valid for the life of the pool.
+/// threads from serializing on a single pool mutex. The set owns every
+/// interned string in a node of its own, which neither rehashing nor later
+/// insertions move, and nothing is ever erased, so a returned pointer stays
+/// valid for the life of the pool.
 struct InternShard {
   std::mutex M;
-  std::unordered_map<std::string_view, std::shared_ptr<const std::string>>
-      Table;
+  std::unordered_set<std::string, InternHash, std::equal_to<>> Table;
 };
 
 constexpr size_t NumInternShards = 16;
@@ -39,7 +47,7 @@ std::array<InternShard, NumInternShards> &internShards() {
 /// Cheap non-cryptographic fingerprint (length + boundary bytes) indexing
 /// the thread-local recent-intern memo. Collisions only cost a failed
 /// compare and a trip through the shared pool.
-size_t internFingerprint(const std::string &S) {
+size_t internFingerprint(std::string_view S) {
   size_t F = S.size() * 0x9e3779b97f4a7c15ull;
   if (!S.empty()) {
     F ^= static_cast<unsigned char>(S.front());
@@ -53,33 +61,33 @@ constexpr size_t RecentInternSlots = 512;
 
 } // namespace
 
-std::shared_ptr<const std::string> fnc2::internString(std::string S) {
+const std::string *fnc2::internString(std::string_view S) {
   // Fast path: evaluators re-intern the same attribute strings round after
   // round; a direct-mapped thread-local memo of canonical pool pointers
   // answers repeats with one memcmp — no hash, no lock. Entries are
   // pointers previously returned by the pool, so pointer-uniqueness of
   // interned strings is preserved.
-  static thread_local std::array<std::shared_ptr<const std::string>,
-                                 RecentInternSlots>
-      Recent;
-  auto &Slot = Recent[internFingerprint(S) % RecentInternSlots];
+  static thread_local std::array<const std::string *, RecentInternSlots>
+      Recent{};
+  const std::string *&Slot = Recent[internFingerprint(S) % RecentInternSlots];
   if (Slot && *Slot == S)
     return Slot;
 
-  const size_t H = std::hash<std::string_view>()(S);
+  const size_t H = InternHash()(S);
   InternShard &Shard = internShards()[H % NumInternShards];
   std::lock_guard<std::mutex> Lock(Shard.M);
-  auto It = Shard.Table.find(std::string_view(S));
-  if (It != Shard.Table.end())
-    return Slot = It->second;
-  auto Interned = std::make_shared<const std::string>(std::move(S));
-  Shard.Table.emplace(std::string_view(*Interned), Interned);
-  return Slot = Interned;
+  auto It = Shard.Table.find(S);
+  if (It == Shard.Table.end())
+    It = Shard.Table.emplace(S).first;
+  return Slot = &*It;
 }
 
 //===----------------------------------------------------------------------===//
 // Construction
 //===----------------------------------------------------------------------===//
+
+/// What asList() returns for the unallocated empty list.
+static constinit const std::vector<Value> EmptyList;
 
 Value Value::ofInt(int64_t V) {
   Value R;
@@ -98,15 +106,17 @@ Value Value::ofBool(bool V) {
 Value Value::ofString(std::string V) {
   Value R;
   R.TheKind = Kind::Str;
-  R.Ref = internString(std::move(V));
+  R.IntVal = reinterpret_cast<intptr_t>(internString(V));
   return R;
 }
 
 Value Value::ofList(std::vector<Value> Elems) {
   Value R;
   R.TheKind = Kind::List;
-  // Allocated non-const: the sole-owner listAppend path extends it in place.
-  R.Ref = std::make_shared<std::vector<Value>>(std::move(Elems));
+  // The empty list stays unallocated, like the empty map. A non-empty one is
+  // allocated non-const: the sole-owner listAppend path extends it in place.
+  if (!Elems.empty())
+    R.Ref = std::make_shared<std::vector<Value>>(std::move(Elems));
   return R;
 }
 
@@ -123,7 +133,8 @@ const std::string &Value::asString() const {
 
 const std::vector<Value> &Value::asList() const {
   assert(isList() && "value is not a list");
-  return *listPtr();
+  return Ref ? *static_cast<const std::vector<Value> *>(Ref.get())
+             : EmptyList;
 }
 
 //===----------------------------------------------------------------------===//
@@ -148,7 +159,7 @@ const Value *Value::mapLookup(const std::string &Key) const {
     return nullptr;
   // Every key in the chain is interned, so one intern of the probe key turns
   // the walk into pure pointer comparisons.
-  const std::shared_ptr<const std::string> K = internString(Key);
+  const std::string *K = internString(Key);
   for (const EnvNode *N = mapPtr(); N; N = N->Parent.get())
     if (N->Key == K)
       return &N->Bound;
@@ -165,7 +176,7 @@ std::vector<std::pair<std::string, Value>> Value::mapEntries() const {
   // Interning makes content-dedup a pointer-dedup.
   std::unordered_set<const std::string *> Seen;
   for (const EnvNode *N = mapPtr(); N; N = N->Parent.get())
-    if (Seen.insert(N->Key.get()).second)
+    if (Seen.insert(N->Key).second)
       Out.emplace_back(*N->Key, N->Bound);
   return Out;
 }
@@ -176,7 +187,7 @@ std::vector<std::pair<std::string, Value>> Value::mapEntries() const {
 
 Value Value::listAppend(Value V) const & {
   assert(isList() && "value is not a list");
-  std::vector<Value> Elems = *listPtr();
+  std::vector<Value> Elems = asList();
   Elems.push_back(std::move(V));
   return ofList(std::move(Elems));
 }
@@ -198,8 +209,13 @@ Value Value::listAppend(Value V) && {
 }
 
 Value Value::listConcat(const Value &A, const Value &B) {
-  std::vector<Value> Elems = A.asList();
   const auto &BE = B.asList();
+  // Lists are immutable values, so an empty side shares the other operand.
+  if (A.asList().empty())
+    return B;
+  if (BE.empty())
+    return A;
+  std::vector<Value> Elems = A.asList();
   Elems.insert(Elems.end(), BE.begin(), BE.end());
   return ofList(std::move(Elems));
 }
@@ -220,11 +236,11 @@ bool Value::equals(const Value &Other) const {
   case Kind::Str:
     // Interned: equal contents share one object. The content fallback keeps
     // equality total even for strings from a hypothetical second pool.
-    return Ref == Other.Ref || *strPtr() == *Other.strPtr();
+    return IntVal == Other.IntVal || *strPtr() == *Other.strPtr();
   case Kind::List: {
     if (Ref == Other.Ref)
       return true;
-    const auto &A = *listPtr(), &B = *Other.listPtr();
+    const auto &A = asList(), &B = Other.asList();
     if (A.size() != B.size())
       return false;
     for (size_t I = 0, E = A.size(); I != E; ++I)
@@ -262,7 +278,7 @@ std::string Value::str() const {
     return "\"" + *strPtr() + "\"";
   case Kind::List: {
     std::string Out = "[";
-    const auto &Elems = *listPtr();
+    const auto &Elems = asList();
     for (size_t I = 0, E = Elems.size(); I != E; ++I) {
       if (I)
         Out += ", ";
@@ -311,7 +327,7 @@ size_t Value::hash() const {
     H = hashCombine(H, std::hash<std::string>()(*strPtr()));
     break;
   case Kind::List:
-    for (const Value &E : *listPtr())
+    for (const Value &E : asList())
       H = hashCombine(H, E.hash());
     break;
   case Kind::Map: {

@@ -14,10 +14,13 @@
 ///
 /// Strings are interned in a global sharded pool, so string values and map
 /// keys compare by pointer first: two equal strings built through ofString()
-/// share one heap object, which turns the incremental cutoff's equality test
-/// and mapLookup chains into pointer comparisons. A Value is three words:
-/// kind, an integer payload, and one shared_ptr that carries the string /
-/// list / map representation depending on the kind.
+/// share one pooled object, which turns the incremental cutoff's equality
+/// test and mapLookup chains into pointer comparisons. The pool owns its
+/// strings for the life of the process, so a string Value and a map key hold
+/// a bare pointer and copying either touches no shared reference count. A
+/// Value is kind + an integer payload + one shared_ptr: Int/Bool and the
+/// interned string pointer live in the payload, and the shared_ptr carries
+/// the list / map representation (null for the empty list and map).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +33,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fnc2 {
@@ -37,9 +41,10 @@ namespace fnc2 {
 struct EnvNode;
 
 /// Interns \p S in the process-wide pool: equal contents yield the same
-/// pointer for the lifetime of the process. Thread-safe (sharded locks); the
-/// pool only grows, which is the usual compiler-style interning trade.
-std::shared_ptr<const std::string> internString(std::string S);
+/// pointer, valid for the lifetime of the process. Thread-safe (sharded
+/// locks); the pool only grows, which is the usual compiler-style interning
+/// trade.
+const std::string *internString(std::string_view S);
 
 /// A dynamically-typed attribute value.
 class Value {
@@ -104,9 +109,12 @@ public:
   /// A stable structural hash, consistent with equals().
   size_t hash() const;
 
-  /// The heap representation's identity, for tests of interning / sharing.
-  /// Null for Unit/Int/Bool and the empty map.
-  const void *identity() const { return Ref.get(); }
+  /// The representation's identity, for tests of interning / sharing: the
+  /// interned string, or the list / map heap object. Null for Unit/Int/Bool,
+  /// the empty list and the empty map.
+  const void *identity() const {
+    return isString() ? static_cast<const void *>(strPtr()) : Ref.get();
+  }
 
   /// True when \p O holds bit-for-bit the same representation: same kind,
   /// same immediate payload, same heap object (pointer identity — strictly
@@ -119,20 +127,19 @@ public:
 
 private:
   const std::string *strPtr() const {
-    return static_cast<const std::string *>(Ref.get());
-  }
-  const std::vector<Value> *listPtr() const {
-    return static_cast<const std::vector<Value> *>(Ref.get());
+    return reinterpret_cast<const std::string *>(
+        static_cast<intptr_t>(IntVal));
   }
   const EnvNode *mapPtr() const {
     return static_cast<const EnvNode *>(Ref.get());
   }
 
   Kind TheKind;
-  int64_t IntVal = 0; ///< Int payload; Bool packs here as 0/1.
-  /// Str: interned std::string; List: std::vector<Value> (allocated
-  /// non-const so the unique-owner append path may extend it); Map: EnvNode
-  /// chain head, null for the empty map.
+  /// Int payload; Bool packs here as 0/1, Str as its pooled std::string.
+  int64_t IntVal = 0;
+  /// List: std::vector<Value> (allocated non-const so the unique-owner
+  /// append path may extend it), null for the empty list; Map: EnvNode
+  /// chain head, null for the empty map; null for every other kind.
   std::shared_ptr<const void> Ref;
 };
 
@@ -140,7 +147,7 @@ private:
 /// front of the parent, so symbol tables built during evaluation share tails.
 /// Keys are interned, so lookup compares pointers, not characters.
 struct EnvNode {
-  std::shared_ptr<const std::string> Key;
+  const std::string *Key = nullptr;
   Value Bound;
   std::shared_ptr<const EnvNode> Parent;
 };

@@ -276,18 +276,26 @@ TEST_F(FrameArenaTest, FreshFramesAreInitialisedOnRecycledMemory) {
 }
 
 TEST_F(FrameArenaTest, DestroyingTheArenaReleasesItsValues) {
-  const std::string Probe = "frame-arena-release-probe";
-  const std::shared_ptr<const std::string> Interned = internString(Probe);
-  const long Base = Interned.use_count();
+  // The probe is a non-empty list the arena's frames share. An rvalue
+  // listAppend extends the vector in place only when its value is the sole
+  // owner, and otherwise copies and leaves the value as it was, so the
+  // result's identity tells whether the arena still holds references.
+  Value Probe = Value::ofList({Value::ofString("frame-arena-release-probe")});
+  const void *Id = Probe.identity();
   {
     FrameArena A;
     for (unsigned I = 0; I != 200; ++I) {
       auto [Vals, Words] = A.allocFrame(4, 1);
-      Vals[I % 4] = Value::ofString(Probe);
+      Vals[I % 4] = Probe;
     }
-    EXPECT_EQ(Interned.use_count(), Base + 200);
+    Value Copied = std::move(Probe).listAppend(Value::ofInt(1));
+    EXPECT_NE(Copied.identity(), Id) << "the arena's frames share the probe";
+    ASSERT_EQ(Probe.identity(), Id);
   }
-  EXPECT_EQ(Interned.use_count(), Base);
+  Value Extended = std::move(Probe).listAppend(Value::ofInt(2));
+  EXPECT_EQ(Extended.identity(), Id) << "the arena released every copy";
+  ASSERT_EQ(Extended.asList().size(), 2u);
+  EXPECT_EQ(Extended.asList()[1].asInt(), 2);
 }
 
 TEST_F(FrameArenaTest, SmallTreeReservesAtMostOneKiB) {

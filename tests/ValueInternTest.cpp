@@ -37,10 +37,69 @@ TEST(ValueInternTest, DistinctContentsStayDistinct) {
 }
 
 TEST(ValueInternTest, InternStringMatchesOfString) {
-  std::shared_ptr<const std::string> P = internString("gamma");
+  const std::string *P = internString("gamma");
   Value V = Value::ofString("gamma");
-  EXPECT_EQ(static_cast<const void *>(P.get()), V.identity());
+  EXPECT_EQ(static_cast<const void *>(P), V.identity());
   EXPECT_EQ(*P, "gamma");
+}
+
+TEST(ValueInternTest, InternedPointerOutlivesEveryValue) {
+  // The pool, not the values, owns an interned string: once every Value
+  // holding it is gone, the pointer still reads the same contents and a
+  // fresh ofString() finds the same object.
+  const std::string Probe = "interned-outlives-its-values";
+  const void *Id = nullptr;
+  {
+    Value A = Value::ofString(Probe);
+    Value M = Value::emptyMap().mapInsert(Probe, A);
+    Value L = Value::ofList({A, A});
+    Id = A.identity();
+  }
+  const std::string *P = internString(Probe);
+  EXPECT_EQ(static_cast<const void *>(P), Id);
+  EXPECT_EQ(*P, Probe);
+  EXPECT_EQ(Value::ofString(Probe).identity(), Id);
+}
+
+TEST(ValueInternTest, EmptyListIsUnallocated) {
+  Value A = Value::ofList({});
+  Value B = Value::listConcat(Value::ofList({}), Value::ofList({}));
+  EXPECT_EQ(A.identity(), nullptr);
+  EXPECT_EQ(B.identity(), nullptr);
+  EXPECT_TRUE(A.equals(B));
+  EXPECT_EQ(A.hash(), B.hash());
+  EXPECT_TRUE(A.asList().empty());
+  EXPECT_EQ(A.str(), "[]");
+  // An empty list is not equal to a non-empty one, however it was built.
+  EXPECT_FALSE(A.equals(Value::ofList({Value::ofInt(0)})));
+
+  for (Value *E : {&A, &B}) {
+    Value One = std::move(*E).listAppend(Value::ofString("x"));
+    ASSERT_TRUE(One.isList());
+    ASSERT_EQ(One.asList().size(), 1u);
+    EXPECT_TRUE(One.asList()[0].equals(Value::ofString("x")));
+    EXPECT_NE(One.identity(), nullptr);
+  }
+}
+
+TEST(ValueInternTest, ConcatWithAnEmptySideShares) {
+  const Value Empty = Value::ofList({});
+  const Value L = Value::ofList({Value::ofInt(1), Value::ofString("two")});
+  Value Left = Value::listConcat(Empty, L);
+  Value Right = Value::listConcat(L, Empty);
+  EXPECT_EQ(Left.identity(), L.identity());
+  EXPECT_EQ(Right.identity(), L.identity());
+
+  // The result shares L's vector, so the rvalue append must copy it rather
+  // than extend it in place.
+  Value Grown = std::move(Left).listAppend(Value::ofInt(3));
+  EXPECT_NE(Grown.identity(), L.identity());
+  ASSERT_EQ(Grown.asList().size(), 3u);
+  EXPECT_EQ(Grown.asList()[2].asInt(), 3);
+  ASSERT_EQ(L.asList().size(), 2u);
+  EXPECT_EQ(L.asList()[0].asInt(), 1);
+  EXPECT_EQ(L.asList()[1].asString(), "two");
+  EXPECT_EQ(Right.asList().size(), 2u);
 }
 
 TEST(ValueInternTest, EmptyAndLongStringsIntern) {
