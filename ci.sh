@@ -59,7 +59,10 @@
 #      here so its depth bound is shown to stop a runaway recursion within
 #      the stack. The bound is sized for optimized frames (about 2.3 MiB
 #      at the bound); ASan's frames are about 14x larger, so this step runs
-#      with a 64 MiB stack limit. The visit driver's failure unwinding
+#      with a 64 MiB stack limit. The value suites run here because a
+#      string value keeps its pooled pointer in the int64 payload, and
+#      LeakSanitizer shows that the interning pool owns (and at exit
+#      frees) every string. The visit driver's failure unwinding
 #      (MissingSequence) and its heap-spilled frame stack
 #      (DeepChain.StorageEvaluator, a 60000-deep chain, matched by Storage)
 #      run here too; the million-node DeepChain cases stay out, at about
@@ -145,13 +148,14 @@ cmake --build "$SRC/build-asan" -j "$JOBS" \
       --target serialize_test artifact_cache_test edit_log_test \
                merged_batch_test native_backend_test native_merged_test \
                service_test service_soak_test storage_test olga_test \
-               grammar_test tree_test visit_driver_test
+               grammar_test tree_test visit_driver_test value_test \
+               value_intern_test
 # A UBSan report fails its test: halt_on_error turns the printed report
 # into an abort.
 (ulimit -s 65536 &&
  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
  ctest --test-dir "$SRC/build-asan" --output-on-failure -j "$JOBS" \
-      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|ValueCodec|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|FrameArena|ExprEval|MissingSequence')
+      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|Value|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|FrameArena|ExprEval|MissingSequence')
 
 echo "== [5/5] ThreadSanitizer build + race gate =="
 cmake -B "$SRC/build-tsan" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

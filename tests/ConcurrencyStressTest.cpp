@@ -17,6 +17,7 @@
 #include "support/ThreadPool.h"
 #include "tree/TreeGen.h"
 #include "workloads/ClassicGrammars.h"
+#include "workloads/MiniPascal.h"
 #include "workloads/SpecGen.h"
 
 #include <gtest/gtest.h>
@@ -273,6 +274,44 @@ TEST(ConcurrencyStressTest, MergedEvaluatorShardsCohortsOverSharedPlan) {
       EXPECT_TRUE(RefOut[I % Sources.size()].equals(
           Trees[I].root()->attrVal(0)))
           << Round << "/" << I;
+  }
+}
+
+TEST(ConcurrencyStressTest, MiniPascalCodeListsAcrossThreads) {
+  // The string-heavy race surface: P-code instructions are interned strings
+  // shared by every tree, symbol-table keys are bare pool pointers, and code
+  // lists share concat results. Shape-unique programs take the merged
+  // engine's per-tree fallback, whose chunks may land on a different worker
+  // each round, so one thread frees what another built.
+  DiagnosticEngine Diags;
+  AttributeGrammar AG = workloads::miniPascal(Diags);
+  DiagnosticEngine GD;
+  GeneratedEvaluator GE = generateEvaluator(AG, GD);
+  ASSERT_TRUE(GE.Success) << GD.dump();
+
+  std::vector<Tree> Trees;
+  std::vector<workloads::PCodeResult> ByHand;
+  for (uint64_t Seed = 0; Seed != 64; ++Seed) {
+    DiagnosticEngine D;
+    Trees.push_back(workloads::parseMiniPascal(
+        AG, workloads::generateMiniPascalSource(12, 500 + Seed), D));
+    ASSERT_FALSE(D.hasErrors()) << D.dump();
+    ByHand.push_back(
+        workloads::compileMiniPascalByHand(AG, Trees.back().root()));
+  }
+
+  ThreadPool Pool(4);
+  MergedBatchEvaluator ME(GE.Compiled->CP, Pool);
+  for (unsigned Round = 0; Round != 4; ++Round) {
+    BatchResult R = ME.evaluate(Trees);
+    ASSERT_TRUE(R.allSucceeded());
+    ASSERT_EQ(R.Outcomes.size(), Trees.size());
+    EXPECT_GT(ME.mergedStats().TreesFallback, 0u);
+    for (unsigned I = 0; I != Trees.size(); ++I) {
+      const workloads::PCodeResult Got = workloads::pcodeFromTree(AG, Trees[I]);
+      EXPECT_EQ(Got.Code, ByHand[I].Code) << Round << "/" << I;
+      EXPECT_EQ(Got.Errors, ByHand[I].Errors) << Round << "/" << I;
+    }
   }
 }
 
