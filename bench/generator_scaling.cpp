@@ -9,8 +9,8 @@
 //   naive     global re-sweeps, heap Digraphs, full Warshall closures
 //             (GfaOptions::NaiveFixpoint, the pre-rewrite formulation)
 //   worklist  per-production dirty bits, word-parallel paste/projection,
-//             incrementally re-closed cached closures, parallel rounds
-//             above the grammar-size gate
+//             incrementally re-closed cached closures, on the calling
+//             thread
 //
 // Emits generator_scaling.json with one ms_per_round row per (spec, engine)
 // for bench_check.py trend tracking (baseline: BENCH_generator.json), and
@@ -47,8 +47,8 @@ struct SweepPoint {
   unsigned Phyla, Ops, AttrPairs;
 };
 
-// The largest point is sized to clear the default parallel gate
-// (GfaOptions::ParallelMinWork) on its early all-dirty rounds.
+// S4-xlarge is the compile benchmark's specgen-S4 grammar: 385 productions
+// with up to 42 occurrences each.
 const SweepPoint Sweep[] = {
     {"S1-small", 8, 3, 2},
     {"S2-medium", 16, 4, 3},
@@ -172,7 +172,7 @@ void emitJson(const std::vector<Entry> &Es,
 int main() {
   GfaOptions Naive;
   Naive.NaiveFixpoint = true;
-  GfaOptions Worklist; // defaults: worklist engine, gated parallel rounds
+  GfaOptions Worklist; // default: the worklist engine
 
   std::vector<Entry> Entries;
   std::vector<PhaseEntry> Phases;

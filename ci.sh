@@ -66,20 +66,22 @@
 #      (MissingSequence) and its heap-spilled frame stack
 #      (DeepChain.StorageEvaluator, a 60000-deep chain, matched by Storage)
 #      run here too; the million-node DeepChain cases stay out, at about
-#      1 GiB each under ASan. UBSan halts on its first report, so signed
-#      overflow or an out-of-range shift anywhere in these suites fails
-#      the step instead of only printing.
+#      1 GiB each under ASan. The bit-matrix and generator-cascade suites
+#      (SNC, DNC, OAG, classification and the worklist-vs-naive
+#      differential) run here because the word-parallel GFA kernels index
+#      bit rows by shifted words. UBSan halts on its first report, so
+#      signed overflow or an out-of-range shift anywhere in these suites
+#      fails the step instead of only printing.
 #   5. ThreadSanitizer build (-DFNC2_SANITIZE=thread) + the concurrency,
-#      differential, interning, trace, oracle, parallel-cascade,
-#      artifact-cache, multi-session and native-backend race tests, which
-#      exercise the shared-plan read path, the string-interning pool, the
-#      per-thread trace buffers, the fixpoint engine's parallel rounds,
-#      racing cache store/load, many incremental sessions editing
-#      concurrently over one immutable compiled plan, concurrent
+#      differential, interning, trace, oracle, cascade, artifact-cache,
+#      multi-session and native-backend race tests, which exercise the
+#      shared-plan read path, the string-interning pool, the per-thread
+#      trace buffers, racing cache store/load, many incremental sessions
+#      editing concurrently over one immutable compiled plan, concurrent
 #      evaluation sessions sharing one dlopen()ed native module, and the
 #      fnc2d soak (8+ client threads through the daemon's admission queue
 #      sharing one resident CompiledArtifact, responses bit-identical to a
-#      serial oracle replay).
+#      serial oracle replay, while another thread reads Stats).
 #
 # Usage: ./ci.sh [jobs]
 set -eu
@@ -149,13 +151,13 @@ cmake --build "$SRC/build-asan" -j "$JOBS" \
                merged_batch_test native_backend_test native_merged_test \
                service_test service_soak_test storage_test olga_test \
                grammar_test tree_test visit_driver_test value_test \
-               value_intern_test
+               value_intern_test analysis_test support_test
 # A UBSan report fails its test: halt_on_error turns the printed report
 # into an abort.
 (ulimit -s 65536 &&
  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
  ctest --test-dir "$SRC/build-asan" --output-on-failure -j "$JOBS" \
-      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|Value|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|FrameArena|ExprEval|MissingSequence')
+      -R 'Serialize|ArtifactFile|Artifact|EditLog|Session|Value|SubtreeCodec|MergedBatch|SoAFrame|Native|Service|Lifetime|Storage|Grouping|Lexer|Parser|Sema|Driver|Optimizer|Grammar|WellFormedness|AutoCopy|ProductionInfo|OccName|TreeTest|FrameArena|ExprEval|MissingSequence|BitMatrixTest|CascadeDifferentialTest|SncTest|DncTest|OagTest|ClassifyTest|PhylumRelationTest')
 
 echo "== [5/5] ThreadSanitizer build + race gate =="
 cmake -B "$SRC/build-tsan" -S "$SRC" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

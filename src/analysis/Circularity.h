@@ -53,7 +53,7 @@ struct SncResult {
 
 /// Runs the SNC test. Requires AG.buildProductionInfo() to have run.
 /// \p Opts selects between the worklist engine (default) and the naive
-/// reference fixpoint, and tunes the parallel-round gate.
+/// reference fixpoint.
 SncResult runSncTest(const AttributeGrammar &AG, const GfaOptions &Opts = {});
 
 /// Result of the DNC test.

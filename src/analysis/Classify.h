@@ -46,8 +46,7 @@ struct ClassifyResult {
 /// Runs the cascade with OAG repair budget \p OagK (the paper performs the
 /// OAG(0) test by default but can be directed to test OAG(k) for any k).
 /// \p Opts is threaded through all three tests: it selects the worklist
-/// engine (default) or the naive reference fixpoint and tunes the gate that
-/// lets large grammars run their fixpoint rounds in parallel.
+/// engine (default) or the naive reference fixpoint.
 ClassifyResult classifyGrammar(const AttributeGrammar &AG, unsigned OagK = 0,
                                const GfaOptions &Opts = {});
 

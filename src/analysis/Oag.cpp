@@ -47,7 +47,7 @@ static bool computeIds(const AttributeGrammar &AG, const GfaOptions &Opts,
     return true;
   }
 
-  GfaFixpoint Engine(AG, Opts);
+  GfaFixpoint Engine(AG);
   Iterations += Engine.run(Paste, GfaProject::All, IDS);
   if (ProdId Bad = Engine.firstCyclicProd(); Bad != InvalidId) {
     Witness.Prod = Bad;

@@ -49,7 +49,7 @@ struct OagResult {
 /// Runs the OAG(k) test with repair budget \p K (default: the paper's
 /// default OAG(0)). Requires AG.buildProductionInfo() to have run.
 /// \p Opts selects the IDS fixpoint formulation (worklist engine vs naive
-/// reference) and tunes the parallel-round gate.
+/// reference).
 OagResult runOagTest(const AttributeGrammar &AG, unsigned K = 0,
                      const GfaOptions &Opts = {});
 

@@ -57,7 +57,7 @@ SncResult fnc2::runSncTest(const AttributeGrammar &AG,
     return R;
   }
 
-  GfaFixpoint Engine(AG, Opts);
+  GfaFixpoint Engine(AG);
   R.Iterations = Engine.run(Paste, GfaProject::Lhs, R.IO);
   if (ProdId Bad = Engine.firstCyclicProd(); Bad != InvalidId) {
     R.IsSNC = false;
@@ -114,7 +114,7 @@ DncResult fnc2::runDncTest(const AttributeGrammar &AG, const SncResult &Snc,
     return R;
   }
 
-  GfaFixpoint Engine(AG, Opts);
+  GfaFixpoint Engine(AG);
   R.Iterations = Engine.run(Paste, GfaProject::Children, R.OI);
   if (ProdId Bad = Engine.firstCyclicProd(); Bad != InvalidId) {
     R.IsDNC = false;

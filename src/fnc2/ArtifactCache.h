@@ -74,8 +74,9 @@ public:
   /// The stable content hash keying artifacts: a canonical encoding of the
   /// grammar's full structure (phyla, attributes, productions, rules with
   /// function names and flags) and of every output-affecting generator
-  /// option. GfaOptions are excluded — both fixpoint formulations produce
-  /// identical results (pinned by CascadeDifferentialTest).
+  /// option. GfaOptions are excluded — the worklist engine and the naive
+  /// reference fixpoint it selects between produce identical results
+  /// (pinned by CascadeDifferentialTest).
   static uint64_t artifactKey(const AttributeGrammar &AG,
                               const GeneratorOptions &Opts);
 

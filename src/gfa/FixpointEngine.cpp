@@ -2,7 +2,6 @@
 
 #include "gfa/FixpointEngine.h"
 
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -10,32 +9,15 @@
 
 using namespace fnc2;
 
-GfaFixpoint::GfaFixpoint(const AttributeGrammar &AG, const GfaOptions &Opts)
-    : AG(AG), Opts(Opts), OccMats(AG.numProds()), Closures(AG.numProds()),
-      NewEdgeBufs(AG.numProds()), HasCache(AG.numProds(), 0), ColBufs(1) {}
+GfaFixpoint::GfaFixpoint(const AttributeGrammar &AG)
+    : AG(AG), OccMats(AG.numProds()), Closures(AG.numProds()),
+      HasCache(AG.numProds(), 0) {}
 
-GfaFixpoint::~GfaFixpoint() = default;
-
-bool GfaFixpoint::gateParallel(uint64_t WorkBits, size_t DirtyCount) {
-  if (Opts.Threads == 1 || DirtyCount < 2 || WorkBits < Opts.ParallelMinWork)
-    return false;
-  // The size gate passed; whether the round actually fans out still depends
-  // on the machine (a one-core pool keeps it sequential).
-  FNC2_COUNT("gfa.gate_rounds", 1);
-  if (!Pool) {
-    Pool = std::make_unique<ThreadPool>(Opts.Threads);
-    ColBufs.resize(std::max(1u, Pool->numThreads()));
-  }
-  return Pool->numThreads() > 1;
-}
-
-void GfaFixpoint::processProd(ProdId P, const AugmentOptions &Paste,
-                              std::vector<unsigned> &ColBuf) {
+void GfaFixpoint::processProd(ProdId P, const AugmentOptions &Paste) {
   const ProductionInfo &PI = AG.info(P);
   const Production &Pr = AG.prod(P);
   unsigned N = PI.numOccs();
   BitMatrix &M = OccMats[P];
-  auto &NewEdges = NewEdgeBufs[P];
   NewEdges.clear();
   const bool Fresh = !HasCache[P];
   if (Fresh)
@@ -112,28 +94,12 @@ unsigned GfaFixpoint::run(const AugmentOptions &Paste, GfaProject Kind,
     FNC2_COUNT("gfa.worklist_hits", Dirty.size());
     FNC2_COUNT("gfa.worklist_skips", NumProds - Dirty.size());
 
-    // Stage 1: rebuild + re-close every dirty production. The tasks are
-    // independent (each touches only its own cached matrices), so the round
-    // fans out once the grammar-size gate passes.
-    uint64_t WorkBits = 0;
-    for (ProdId P : Dirty) {
-      uint64_t N = AG.info(P).numOccs();
-      WorkBits += N * N;
-    }
-    if (gateParallel(WorkBits, Dirty.size())) {
-      FNC2_COUNT("gfa.parallel_rounds", 1);
-      Pool->parallelFor(Dirty.size(), [&](size_t I, unsigned Worker) {
-        processProd(Dirty[I], Paste, ColBufs[Worker]);
-      });
-    } else {
-      for (ProdId P : Dirty)
-        processProd(P, Paste, ColBufs[0]);
-    }
+    // Stage 1: rebuild + re-close every dirty production.
+    for (ProdId P : Dirty)
+      processProd(P, Paste);
 
-    // Stage 2: merge the projections into the target relation. Sequential
-    // and in ascending ProdId order; ORs commute, so the merged relation is
-    // independent of the stage-1 execution order — this is the determinism
-    // argument for the parallel rounds.
+    // Stage 2: merge the projections into the target relation, in
+    // ascending ProdId order.
     std::fill(PhyChanged.begin(), PhyChanged.end(), 0);
     auto projectPos = [&](ProdId P, unsigned Pos) {
       const Production &Pr = AG.prod(P);

@@ -20,12 +20,11 @@
 ///    and its transitive closure across rounds; a re-processed production
 ///    only propagates the edges that are new since its last closure
 ///    (BitMatrix::closeWithEdge), falling back to a closure-seeded Warshall
-///    when a round adds many edges at once;
-///  * gated parallelism — the independent closure steps of one round fan
-///    across a support/ThreadPool with a deterministic merge of projections
-///    (order-independent ORs into the target PhylumRelation), but only once
-///    the round's pending work passes the GfaOptions::ParallelMinWork
-///    grammar-size gate.
+///    when a round adds many edges at once.
+///
+/// Every round runs on the calling thread, like the paper's sequential
+/// worklist GFA: the probe in DESIGN.md §9 measured a thread-pool fan-out of
+/// the closure steps slower than this loop on the largest roster grammar.
 ///
 /// Chaotic-iteration of a monotone operator over a finite lattice converges
 /// to the unique least fixpoint regardless of processing order, so the
@@ -39,13 +38,10 @@
 
 #include "gfa/GrammarFlow.h"
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 namespace fnc2 {
-
-class ThreadPool;
 
 /// Which occurrence blocks of the closed production graph are projected
 /// back into the target relation each round: the LHS block (SNC), the child
@@ -57,8 +53,7 @@ enum class GfaProject : uint8_t { Lhs, Children, All };
 /// acyclicity check without rebuilding a single augmented graph.
 class GfaFixpoint {
 public:
-  GfaFixpoint(const AttributeGrammar &AG, const GfaOptions &Opts);
-  ~GfaFixpoint();
+  explicit GfaFixpoint(const AttributeGrammar &AG);
 
   /// Runs the worklist fixpoint to convergence: every production starts
   /// dirty; each round re-pastes \p Paste onto the dirty productions'
@@ -82,29 +77,20 @@ public:
 private:
   /// Rebuilds production \p P's occurrence matrix (pasting \p Paste
   /// word-parallel), collects the edges new since its cached closure, and
-  /// re-closes. \p ColBuf is the calling worker's scratch for newly-set
-  /// column indices.
-  void processProd(ProdId P, const AugmentOptions &Paste,
-                   std::vector<unsigned> &ColBuf);
-
-  /// Applies the grammar-size gate to one round's pending closure work;
-  /// lazily spins the pool up on the first round big enough to need it.
-  bool gateParallel(uint64_t WorkBits, size_t DirtyCount);
+  /// re-closes.
+  void processProd(ProdId P, const AugmentOptions &Paste);
 
   const AttributeGrammar &AG;
-  GfaOptions Opts;
 
-  /// Per-production buffers, reused across rounds: the occurrence matrix,
-  /// its transitive closure, and the new-edge list of the current round.
+  /// Per-production buffers, reused across rounds: the occurrence matrix
+  /// and its transitive closure.
   std::vector<BitMatrix> OccMats;
   std::vector<BitMatrix> Closures;
-  std::vector<std::vector<std::pair<unsigned, unsigned>>> NewEdgeBufs;
   std::vector<char> HasCache;
-
-  std::unique_ptr<ThreadPool> Pool;
-  /// Per-worker scratch for orRowSpanCollect (index 0 doubles as the
-  /// sequential path's scratch).
-  std::vector<std::vector<unsigned>> ColBufs;
+  /// processProd's scratch: the edges new since the cached closure, and
+  /// orRowSpanCollect's newly-set column indices.
+  std::vector<std::pair<unsigned, unsigned>> NewEdges;
+  std::vector<unsigned> ColBuf;
 };
 
 } // namespace fnc2

@@ -46,25 +46,16 @@ private:
   std::vector<BitMatrix> Rels;
 };
 
-/// Tuning knobs for the GFA fixpoints (SNC/DNC/OAG-IDS). The defaults give
-/// the optimized engine: worklist rounds over dirty productions, dense
-/// word-parallel occurrence matrices, incrementally re-closed from cached
-/// closures, with the per-production closure+project work of one round
-/// fanned across a thread pool once a grammar is big enough to pay for it.
+/// Options of the GFA fixpoints (SNC/DNC/OAG-IDS). The default is the
+/// worklist engine of gfa/FixpointEngine.h: rounds over dirty productions,
+/// dense word-parallel occurrence matrices, incrementally re-closed from
+/// cached closures, all on the calling thread.
 struct GfaOptions {
   /// Reference path: the textbook fixpoint (global re-sweeps over every
   /// production, heap-allocated augmented Digraphs, full Warshall closures,
   /// bit-at-a-time projection). Kept for differential tests and as the
   /// before-side of bench/generator_scaling.
   bool NaiveFixpoint = false;
-  /// Worker threads for the parallel rounds; 0 = one per hardware thread,
-  /// 1 = always sequential.
-  unsigned Threads = 0;
-  /// Grammar-size scaling gate: a round fans out only when its pending
-  /// closure work (sum over dirty productions of numOccs^2 bit cells)
-  /// reaches this threshold. Small grammars never pay thread start-up or
-  /// hand-off costs; set to 0 to force the parallel path in tests.
-  uint64_t ParallelMinWork = 1u << 18;
 };
 
 /// Options selecting which relations get pasted onto which occurrences when

@@ -308,10 +308,10 @@ TEST(ArtifactCacheTest, KeySeparatesGrammarsAndOptions) {
   EXPECT_NE(ArtifactCache::artifactKey(Desk, A),
             ArtifactCache::artifactKey(Desk, C));
 
-  // GFA tuning does not affect generator output and must not split the key.
+  // The fixpoint formulation does not affect generator output and must not
+  // split the key.
   GeneratorOptions D = A;
   D.Gfa.NaiveFixpoint = true;
-  D.Gfa.Threads = 7;
   EXPECT_EQ(ArtifactCache::artifactKey(Desk, A),
             ArtifactCache::artifactKey(Desk, D));
   // Neither does the cache directory itself.
