@@ -79,8 +79,8 @@ std::vector<uint8_t> Daemon::executeFrame(std::span<const uint8_t> Frame) {
   Request R;
   std::string Reason;
   if (!decodeRequest(Frame, R, Reason)) {
-    Stats.MalformedFrames.fetch_add(1, std::memory_order_relaxed);
-    Stats.Errors.fetch_add(1, std::memory_order_relaxed);
+    Metrics.add("service.malformed_frames", 1);
+    Metrics.add("service.errors", 1);
     Response E;
     E.Kind = R.Kind;
     E.Id = R.Id;
@@ -93,7 +93,6 @@ std::vector<uint8_t> Daemon::executeFrame(std::span<const uint8_t> Frame) {
 
 Response Daemon::execute(const Request &R) {
   FNC2_SPAN("service.execute");
-  Stats.Requests.fetch_add(1, std::memory_order_relaxed);
   Metrics.add("service.requests", 1);
 
   Response Out;
@@ -128,10 +127,8 @@ Response Daemon::execute(const Request &R) {
   }
   Out.Kind = R.Kind;
   Out.Id = R.Id;
-  if (!Out.ok()) {
-    Stats.Errors.fetch_add(1, std::memory_order_relaxed);
+  if (!Out.ok())
     Metrics.add("service.errors", 1);
-  }
   return Out;
 }
 
@@ -245,7 +242,7 @@ Response Daemon::doEvaluate(const Request &R) {
   DiagnosticEngine Diags;
   if (!Ev.evaluate(T, Diags))
     return err("evaluate: evaluation failed: " + Diags.dump());
-  Stats.TreesEvaluated.fetch_add(1, std::memory_order_relaxed);
+  Metrics.add("service.trees_evaluated", 1);
   Ev.stats().exportTo(Metrics);
 
   Response Out;
@@ -317,7 +314,7 @@ Response Daemon::doBatch(const Request &R) {
     }
     Ev.stats().exportTo(Metrics);
   }
-  Stats.BatchTrees.fetch_add(R.Terms.size(), std::memory_order_relaxed);
+  Metrics.add("service.batch_trees", R.Terms.size());
   return Out;
 }
 
@@ -356,7 +353,6 @@ Response Daemon::doOpen(const Request &R) {
     if (!Sessions.emplace(Id, S).second)
       return err("session: session id already in use");
   }
-  Stats.SessionsOpened.fetch_add(1, std::memory_order_relaxed);
   Metrics.add("service.sessions.opened", 1);
 
   Response Out;
@@ -392,7 +388,6 @@ Response Daemon::doEdit(const Request &R) {
       return err("edit: op " + std::to_string(I) +
                  " rejected: " + Diags.dump());
   }
-  Stats.EditsApplied.fetch_add(Log.size(), std::memory_order_relaxed);
   Metrics.add("service.edits", Log.size());
   statsExport(S->Inc->stats(), Metrics);
 
@@ -461,7 +456,7 @@ Response Daemon::doClose(const Request &R) {
   }
   // Let any in-flight request on this session finish before the state dies.
   std::lock_guard<std::mutex> Lock(S->Mu);
-  Stats.SessionsClosed.fetch_add(1, std::memory_order_relaxed);
+  Metrics.add("service.sessions.closed", 1);
   Response Out;
   Out.SessionId = R.SessionId;
   return Out;
@@ -485,15 +480,19 @@ std::string Daemon::statsJson() const {
   };
   RegistryStats RS = Registry.stats();
   std::string J = "{\"daemon\": {";
-  J += "\"requests\": " + U64(Stats.Requests.load()) + ", ";
-  J += "\"errors\": " + U64(Stats.Errors.load()) + ", ";
-  J += "\"malformed_frames\": " + U64(Stats.MalformedFrames.load()) + ", ";
-  J += "\"sessions_opened\": " + U64(Stats.SessionsOpened.load()) + ", ";
-  J += "\"sessions_closed\": " + U64(Stats.SessionsClosed.load()) + ", ";
+  // One copy, so the daemon block agrees with the metrics block even while
+  // executors keep counting.
+  const MetricsRegistry Snap(Metrics);
+  auto Counter = [&](std::string_view Name) { return U64(Snap.value(Name)); };
+  J += "\"requests\": " + Counter("service.requests") + ", ";
+  J += "\"errors\": " + Counter("service.errors") + ", ";
+  J += "\"malformed_frames\": " + Counter("service.malformed_frames") + ", ";
+  J += "\"sessions_opened\": " + Counter("service.sessions.opened") + ", ";
+  J += "\"sessions_closed\": " + Counter("service.sessions.closed") + ", ";
   J += "\"sessions_live\": " + U64(numSessions()) + ", ";
-  J += "\"trees_evaluated\": " + U64(Stats.TreesEvaluated.load()) + ", ";
-  J += "\"edits_applied\": " + U64(Stats.EditsApplied.load()) + ", ";
-  J += "\"batch_trees\": " + U64(Stats.BatchTrees.load());
+  J += "\"trees_evaluated\": " + Counter("service.trees_evaluated") + ", ";
+  J += "\"edits_applied\": " + Counter("service.edits") + ", ";
+  J += "\"batch_trees\": " + Counter("service.batch_trees");
   J += "}, \"registry\": {";
   J += "\"hits\": " + U64(RS.Hits) + ", ";
   J += "\"misses\": " + U64(RS.Misses) + ", ";
@@ -501,7 +500,7 @@ std::string Daemon::statsJson() const {
   J += "\"cache_hits\": " + U64(RS.CacheHits) + ", ";
   J += "\"evictions\": " + U64(RS.Evictions) + ", ";
   J += "\"rejected\": " + U64(RS.Rejected);
-  J += "}, \"metrics\": " + Metrics.json() + "}";
+  J += "}, \"metrics\": " + Snap.json() + "}";
   return J;
 }
 

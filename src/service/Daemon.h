@@ -65,18 +65,6 @@ struct DaemonOptions {
   unsigned MergedBatchMin = 8;
 };
 
-/// Counters of one daemon lifetime (monotone, exported by Stats).
-struct DaemonStats {
-  std::atomic<uint64_t> Requests{0};
-  std::atomic<uint64_t> Errors{0};
-  std::atomic<uint64_t> MalformedFrames{0};
-  std::atomic<uint64_t> SessionsOpened{0};
-  std::atomic<uint64_t> SessionsClosed{0};
-  std::atomic<uint64_t> TreesEvaluated{0};
-  std::atomic<uint64_t> EditsApplied{0};
-  std::atomic<uint64_t> BatchTrees{0};
-};
-
 /// The resident daemon. Thread-safe: any number of threads may submit(),
 /// call() or execute() concurrently; requests against one session are
 /// serialized on that session's lock, everything else runs in parallel.
@@ -111,7 +99,7 @@ public:
   std::string statsJson() const;
 
   GrammarRegistry &registry() { return Registry; }
-  const DaemonStats &stats() const { return Stats; }
+  /// The daemon's counters (service.*) and the evaluators' exports.
   MetricsRegistry &metrics() { return Metrics; }
   size_t numSessions() const;
 
@@ -165,9 +153,9 @@ private:
   bool Stopping = false;
   std::vector<std::thread> Executors;
 
-  DaemonStats Stats;
-  /// Live landing zone for evaluator counter exports; snapshot by Stats
-  /// mid-flight (MetricsRegistry is internally synchronized).
+  /// Live landing zone for the daemon's own monotone counters and the
+  /// evaluator counter exports; snapshot by Stats mid-flight
+  /// (MetricsRegistry is internally synchronized).
   MetricsRegistry Metrics;
 };
 

@@ -9,7 +9,8 @@
 //
 // This test runs under the ci.sh TSan and ASan gates; the per-session
 // mutexes, registry shards, pool serialization, and metrics registry all
-// get exercised under real contention here.
+// get exercised under real contention here, with a Stats reader
+// snapshotting the registry mid-flight.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include "tree/TreeGen.h"
 #include "workloads/ClassicGrammars.h"
 
+#include <atomic>
 #include <gtest/gtest.h>
 #include <thread>
 
@@ -86,7 +88,24 @@ TEST(ServiceSoak, EightClientsOneGrammarBitIdenticalToOracle) {
   Opts.PoolThreads = 4;
   Daemon D(Opts);
   std::vector<std::vector<uint8_t>> Concurrent(kClients);
+  // A ninth thread reads Stats through the same queue while the clients
+  // run, so the live snapshot races every counter update.
+  uint64_t StatsCalls = 0;
   {
+    std::atomic<bool> ClientsDone{false};
+    Request St;
+    St.Kind = RequestKind::Stats;
+    St.Id = 0xFFFFFFFFull;
+    std::vector<uint8_t> StatsFrame = encodeRequest(St);
+    std::thread StatsReader([&] {
+      do {
+        Response R;
+        std::string Reason;
+        EXPECT_TRUE(decodeResponse(D.call(StatsFrame), R, Reason)) << Reason;
+        EXPECT_TRUE(R.ok()) << R.Error;
+        ++StatsCalls;
+      } while (!ClientsDone.load());
+    });
     std::vector<std::thread> Threads;
     for (unsigned C = 0; C != kClients; ++C)
       Threads.emplace_back([&, C] {
@@ -95,14 +114,21 @@ TEST(ServiceSoak, EightClientsOneGrammarBitIdenticalToOracle) {
       });
     for (std::thread &T : Threads)
       T.join();
+    ClientsDone.store(true);
+    StatsReader.join();
   }
 
   // All eight registrations collapsed onto one generation of one artifact.
   EXPECT_EQ(D.registry().stats().Generated, 1u);
   EXPECT_EQ(D.registry().size(), 1u);
   EXPECT_EQ(D.numSessions(), 0u);
-  EXPECT_EQ(D.stats().MalformedFrames.load(), 0u);
-  EXPECT_EQ(D.stats().Errors.load(), 0u);
+  EXPECT_EQ(D.metrics().value("service.malformed_frames"), 0u);
+  EXPECT_EQ(D.metrics().value("service.errors"), 0u);
+  uint64_t Frames = StatsCalls;
+  for (const RequestLog &L : Logs)
+    Frames += L.size();
+  EXPECT_GT(StatsCalls, 0u);
+  EXPECT_EQ(D.metrics().value("service.requests"), Frames);
 
   // Oracle: a fresh daemon replays each client's log serially. The
   // per-client response stream must match byte for byte.
@@ -156,7 +182,7 @@ TEST(ServiceSoak, MixedGrammarsCollapseGeneration) {
 
   EXPECT_EQ(D.registry().stats().Generated, 3u);
   EXPECT_EQ(D.registry().size(), 3u);
-  EXPECT_EQ(D.stats().Errors.load(), 0u);
+  EXPECT_EQ(D.metrics().value("service.errors"), 0u);
 
   for (unsigned C = 0; C != kClients; ++C) {
     expectAllOk(Concurrent[C], C + 1);

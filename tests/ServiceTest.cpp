@@ -578,8 +578,8 @@ TEST(ServiceDaemon, RegisterEvaluateFlow) {
   Bad.Terms = {"NotAnOperator(1)"};
   EXPECT_EQ(D.execute(Bad).Error.rfind("evaluate:", 0), 0u);
 
-  EXPECT_EQ(D.stats().TreesEvaluated.load(), 2u);
-  EXPECT_GE(D.stats().Errors.load(), 2u);
+  EXPECT_EQ(D.metrics().value("service.trees_evaluated"), 2u);
+  EXPECT_GE(D.metrics().value("service.errors"), 2u);
 }
 
 // A lexeme beyond int64 is a term error, not signed overflow and an Ok.
@@ -597,7 +597,7 @@ TEST(ServiceDaemon, EvaluateRejectsOutOfRangeLexeme) {
   EXPECT_EQ(R.St, Status::Error);
   EXPECT_EQ(R.Error.rfind("evaluate:", 0), 0u) << R.Error;
   EXPECT_NE(R.Error.find("lexeme out of range"), std::string::npos) << R.Error;
-  EXPECT_EQ(D.stats().TreesEvaluated.load(), 0u);
+  EXPECT_EQ(D.metrics().value("service.trees_evaluated"), 0u);
 }
 
 // A registered grammar whose function recurses without end: the molga
@@ -742,7 +742,7 @@ TEST(ServiceDaemon, SessionLifecycleWithSnapshotRestore) {
     EXPECT_EQ(RE.Applied, 1u);
     LastDigest = RE.Digest;
   }
-  EXPECT_EQ(D.stats().EditsApplied.load(), 6u);
+  EXPECT_EQ(D.metrics().value("service.edits"), 6u);
 
   // Query the root's synthesized attributes — they must match a from-
   // scratch evaluation of the mirrored tree.
@@ -821,12 +821,27 @@ TEST(ServiceDaemon, MalformedFramesGetErrorResponses) {
   ASSERT_TRUE(decodeResponse(RespFrame, R, Reason)) << Reason;
   EXPECT_FALSE(R.ok());
   EXPECT_EQ(R.Error.rfind("frame:", 0), 0u);
-  EXPECT_EQ(D.stats().MalformedFrames.load(), 1u);
+  EXPECT_EQ(D.metrics().value("service.malformed_frames"), 1u);
 
   // The admission-queue path answers malformed frames too.
   std::vector<uint8_t> Resp2 = D.call(Garbage);
   EXPECT_EQ(Resp2, RespFrame);
-  EXPECT_EQ(D.stats().MalformedFrames.load(), 2u);
+  EXPECT_EQ(D.metrics().value("service.malformed_frames"), 2u);
+}
+
+// A malformed frame is one error, counted once: the Stats JSON's daemon
+// block and its metrics block read the same counter.
+TEST(ServiceDaemon, MalformedFrameIsCountedOnce) {
+  Daemon D;
+  std::vector<uint8_t> Garbage = {1, 2, 3, 4, 5};
+  D.executeFrame(Garbage);
+  std::string J = D.statsJson();
+  EXPECT_NE(J.find("\"daemon\": {\"requests\": 0, \"errors\": 1, "
+                   "\"malformed_frames\": 1,"),
+            std::string::npos)
+      << J;
+  EXPECT_NE(J.find("\"service.errors\": 1"), std::string::npos) << J;
+  EXPECT_EQ(D.metrics().value("service.errors"), 1u);
 }
 
 TEST(ServiceDaemon, StatsEndpointIsLiveJson) {
